@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import save_artifact
 
 import repro.service.executor as executor_mod
+from repro.runtime.counters import COUNTERS
 from repro.service import (
     ArithmeticService,
     FusionGate,
@@ -33,7 +34,6 @@ from repro.service import (
     ServiceClient,
     SimulationExecutor,
     fusion_stats,
-    reset_fusion_stats,
 )
 
 N_HOLD = 56  # > the 50-in-flight acceptance bar
@@ -189,7 +189,7 @@ def test_service_fusion_mixed_tenants(artifact_dir):
     deficit-round-robin must keep per-tenant latency balanced: no
     tenant's p99 beyond ``FAIRNESS_K`` x the median tenant p99.
     """
-    reset_fusion_stats()
+    COUNTERS.reset("fusion")
     executor = SimulationExecutor(workers=0, concurrency=8)
     service = ArithmeticService(
         executor=executor,

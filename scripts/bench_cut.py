@@ -31,11 +31,12 @@ import time
 from pathlib import Path
 
 from repro.core.qint import QInteger
-from repro.cut import CutConfig, cut_distribution, cut_stats, reset_cut_stats
+from repro.cut import CutConfig, cut_distribution, cut_stats
 from repro.cut.parallel import PoolRunner, SerialRunner
 from repro.experiments.config import SCALES, current_scale
 from repro.experiments.instances import ArithmeticInstance
 from repro.experiments.runner import build_arithmetic_circuit, noise_model_for
+from repro.runtime.counters import COUNTERS
 
 N = M = 8  # 16 qubits total — beyond every dense engine
 X_VALUES = (3, 40, 90, 200)  # 4 branches -> 4 independent fragment jobs
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     )
 
     # The exact lane first: correctness of the thing being timed.
-    reset_cut_stats()
+    COUNTERS.reset("cut")
     t0 = time.perf_counter()
     ideal = cut_distribution(
         circuit, None, config=config, initial_state=init, seed=7

@@ -42,6 +42,7 @@ os.environ.setdefault("REPRO_SERVICE_DEDUP", "1")
 
 from repro.experiments.config import SCALES, current_scale
 from repro.noise.ibm import P1Q_SWEEP
+from repro.runtime.counters import COUNTERS
 from repro.runtime.supervisor import RetryPolicy
 from repro.service import (
     ArithmeticService,
@@ -51,7 +52,6 @@ from repro.service import (
     ServiceClient,
     SimulationExecutor,
     fusion_stats,
-    reset_fusion_stats,
 )
 
 #: Seeds (= instances) per rate cell, per scale.
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
     modes = {}
     baseline_counts = None
     for name, window_ms in (("perrequest", 0.0), ("fused", args.window_ms)):
-        reset_fusion_stats()
+        COUNTERS.reset("fusion")
         run = _drive(make_server(window_ms), requests, args.clients)
         counts = [r.counts for r in run["responses"]]
         if baseline_counts is None:

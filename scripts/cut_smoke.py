@@ -97,7 +97,8 @@ def main(argv=None) -> int:
                         help="echo per-pair evaluation details")
     args = parser.parse_args(argv)
 
-    from repro.cut import cut_stats, reset_cut_stats
+    from repro.cut import cut_stats
+    from repro.runtime.counters import COUNTERS
     from repro.cut.parallel import FabricRunner, SerialRunner
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
                 expected = (x_val + y_val) % (1 << M)
                 local_bytes, _, _ = _evaluate(x_val, y_val, SerialRunner())
 
-                reset_cut_stats()
+                COUNTERS.reset("cut")
                 fabric_bytes, mass, dist = _evaluate(
                     x_val, y_val, FabricRunner(str(registry))
                 )

@@ -7,7 +7,9 @@ locked hot paths (kernel-cache LRU, compile caches, service counters)
 into a visible inconsistency within a few thousand requests.  The
 script boots an in-process server, fires mixed concurrent requests from
 a thread pool, then audits every counter surface for arithmetic
-consistency.  Exits non-zero on any violated invariant — this is the
+consistency: the kernel cache's per-tier ledger adds up to its totals,
+and the compile cache recorded one lower and one bind outcome per
+call.  Exits non-zero on any violated invariant — this is the
 ``race-smoke`` CI lane (the dynamic complement of ``repro-arith
 audit``'s static RACE rules).
 """
@@ -84,6 +86,14 @@ def main() -> int:
         fail(f"empty kernel cache holds bytes: {kc}")
     if kc["hits"] + kc["misses"] == 0:
         fail("kernel cache never consulted — workload too small?")
+    # The per-tier breakdown must add up to the totals, field by field.
+    tiers = kc["by_backend"].values()
+    for field, total in (("hits", "hits"), ("misses", "misses"),
+                         ("entries", "entries"), ("bytes", "total_bytes")):
+        tier_sum = sum(t[field] for t in tiers)
+        if tier_sum != kc[total]:
+            fail(f"kernel tiers' {field} sum to {tier_sum}, "
+                 f"total {total} is {kc[total]}: {kc}")
     print(f"[race] kernel cache consistent: {kc}")
 
     # Compile caches: counters must be non-negative and reconcile with
@@ -93,6 +103,9 @@ def main() -> int:
         fail(f"compile counters went negative: {cs}")
     if cs["lowerings"] + cs["lower_hits"] == 0:
         fail("compile caches never consulted — workload too small?")
+    # Every compile_circuit call records one lower and one bind outcome.
+    if cs["lowerings"] + cs["lower_hits"] != cs["binds"] + cs["bind_hits"]:
+        fail(f"compile ledger: lower outcomes != bind outcomes: {cs}")
     print(f"[race] compile caches consistent: {cs}")
 
     # Service-side ledgers survived the stampede: every request was

@@ -115,10 +115,11 @@ def _fused_server(window_ms: float, min_batch: int) -> "object":
 
 def _sweep_streaming_smoke(request: dict) -> None:
     """Consume a fused ``/v1/sweep`` stream cell by cell."""
-    from repro.service import ServiceClient, reset_fusion_stats
+    from repro.runtime.counters import COUNTERS
+    from repro.service import ServiceClient
 
     rates = [0.001, 0.002, 0.004, 0.008]
-    reset_fusion_stats()
+    COUNTERS.reset("fusion")
     with _fused_server(window_ms=25, min_batch=len(rates)) as srv:
         client = ServiceClient(*srv.address, timeout=120)
         seen = []

@@ -17,6 +17,9 @@ Entry points:
 See ``docs/cutting.md`` for the cut model and cost trade-offs.
 """
 
+from typing import Dict
+
+from ..runtime.counters import COUNTERS
 from .config import DEFAULT_MAX_FRAGMENT_QUBITS, CutConfig
 from .engine import cut_counts, cut_distribution
 from .fragments import CutError
@@ -30,7 +33,25 @@ from .search import (
     classical_wires,
     find_cuts,
 )
-from .stats import cut_stats, reset_cut_stats
+
+COUNTERS.declare(
+    "cut",
+    "plans",  # cut plans built by the searcher
+    "plans_registers",  # structural register-cut plans among them
+    "plans_wires",  # generic wire-cut plans among them
+    "fragments_compiled",  # fragment circuits lowered via compile_circuit
+    "variants_evaluated",  # fragment basis/value conditionings evaluated
+    "reconstructions",  # full-register reconstructions performed
+    "jobs_local",  # fragment jobs run in-process
+    "jobs_pool",  # fragment jobs run on a process pool
+    "jobs_fabric",  # fragment jobs run by fabric workers
+    "jobs_fabric_fallback",  # fabric jobs that fell back to local runs
+)
+
+
+def cut_stats() -> Dict[str, int]:
+    """A consistent snapshot of every cut counter."""
+    return COUNTERS.snapshot("cut")
 
 __all__ = [
     "CutConfig",
@@ -46,7 +67,6 @@ __all__ = [
     "cut_distribution",
     "cut_counts",
     "cut_stats",
-    "reset_cut_stats",
     "assemble_register_terms",
     "contract_wire_plan",
 ]

@@ -23,7 +23,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..sim.density import _apply_readout_to_distribution
 from ..sim.result import Counts, Distribution
-from . import stats
 from .config import CutConfig
 from .fragments import CutError, ValueJob, build_variant_jobs, decompose_initial_state
 from .parallel import resolve_runner

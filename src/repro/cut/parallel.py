@@ -35,7 +35,7 @@ import numpy as np
 from ..circuits.qasm import from_qasm, to_qasm
 from ..fabric.wire import WORK_PATH
 from ..noise.model import NoiseModel
-from . import stats
+from ..runtime.counters import COUNTERS
 from .fragments import ValueJob, VariantJob, run_value_job, run_variant_job
 
 __all__ = [
@@ -82,7 +82,7 @@ class SerialRunner:
         out = []
         for job in jobs:
             out.append(run_cut_job(job))
-            stats.record("jobs_local")
+            COUNTERS.record("cut", jobs_local=1)
         return out
 
 
@@ -110,7 +110,7 @@ class PoolRunner:
                 pool.map(_run_wire_job_with_pid, payloads, chunksize=1)
             )
         self.worker_pids = tuple(sorted({pid for pid, _ in tagged}))
-        stats.record("jobs_pool", len(jobs))
+        COUNTERS.record("cut", jobs_pool=len(jobs))
         return [
             result_from_wire(job, result)
             for job, (_, result) in zip(jobs, tagged)
@@ -149,7 +149,7 @@ class FabricRunner:
                     return
                 try:
                     results[i] = self._post(address, jobs[i])
-                    stats.record("jobs_fabric")
+                    COUNTERS.record("cut", jobs_fabric=1)
                 except Exception:  # noqa: BLE001 — degrade, don't die
                     with failed_lock:
                         failed.append(i)
@@ -170,7 +170,7 @@ class FabricRunner:
                 break
         for i in sorted(set(failed)):
             results[i] = run_cut_job(jobs[i])
-            stats.record("jobs_fabric_fallback")
+            COUNTERS.record("cut", jobs_fabric_fallback=1)
         return results
 
     def _post(self, address: Tuple[str, int], job: CutJob) -> Any:
@@ -347,5 +347,5 @@ def execute_wire_job(payload: Dict[str, Any]) -> Any:
     """Worker-side entry point: payload in, JSON-safe result out."""
     job = job_from_wire(payload)
     result = run_cut_job(job)
-    stats.record("jobs_local")
+    COUNTERS.record("cut", jobs_local=1)
     return result_to_wire(payload["kind"], result)

@@ -12,6 +12,9 @@ The pieces, bottom-up:
   timeouts, ``BrokenProcessPool`` recovery and serial degradation.
 * :mod:`~repro.runtime.faults` — deterministic crash/hang/NaN injection
   so every recovery path above is testable.
+* :mod:`~repro.runtime.counters` — the counter registry (counters,
+  gauges, histograms) behind ``/stats``, ``/metrics`` and
+  ``repro-arith cache-stats``.
 
 See ``docs/reliability.md`` for the end-to-end story.
 """

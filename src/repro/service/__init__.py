@@ -44,8 +44,7 @@ from .client import (
 )
 from .client import SweepPartial
 from .executor import SimulationExecutor, fusion_eligible
-from .fusion import FusionGate, fusion_stats, reset_fusion_stats
-from .metrics import LatencyHistogram, ServiceMetrics
+from .fusion import FusionGate, fusion_stats
 from .model import (
     RequestValidationError,
     SimRequest,
@@ -62,14 +61,12 @@ __all__ = [
     "BackpressureError",
     "FusionGate",
     "JobScheduler",
-    "LatencyHistogram",
     "RequestRejected",
     "RequestValidationError",
     "ResultCache",
     "ServerThread",
     "ServiceClient",
     "ServiceError",
-    "ServiceMetrics",
     "SimRequest",
     "SimResponse",
     "SimulationExecutor",
@@ -79,5 +76,4 @@ __all__ = [
     "fusion_eligible",
     "fusion_stats",
     "render_cache_stats",
-    "reset_fusion_stats",
 ]

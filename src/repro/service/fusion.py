@@ -48,22 +48,20 @@ queue must not starve admission of one-off requests that bypass it.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
+from ..runtime.counters import COUNTERS, CounterRegistry
 from ..runtime.envutil import env_float, env_int
 from .cache import ResultCache
 from .executor import SimulationExecutor
-from .metrics import ServiceMetrics
 from .model import SimRequest
 
 __all__ = [
     "FusionGate",
     "FusionSaturated",
     "fusion_stats",
-    "reset_fusion_stats",
 ]
 
 
@@ -76,105 +74,41 @@ class FusionSaturated(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide stats (mirrored by /stats and repro-arith cache-stats)
+# Process-wide counters (the registry's ``fusion`` namespace)
 # ---------------------------------------------------------------------------
 
-class _FusionStats:
-    """Cumulative fusion counters; lock-guarded like ``_SchedulerStats``."""
-
-    __slots__ = (
-        "_lock", "admitted", "executed", "fused", "batches",
-        "batch_requests", "failures", "cancelled", "rejected",
-        "fallbacks", "_tenants",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._zero()
-
-    def _zero(self) -> None:
-        self.admitted = 0
-        self.executed = 0
-        self.fused = 0
-        self.batches = 0
-        self.batch_requests = 0
-        self.failures = 0
-        self.cancelled = 0
-        self.rejected = 0
-        self.fallbacks = 0
-        self._tenants: Dict[str, Dict[str, float]] = {}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._zero()
-
-    def note_admitted(self) -> None:
-        with self._lock:
-            self.admitted += 1
-
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def note_cancelled(self) -> None:
-        with self._lock:
-            self.cancelled += 1
-
-    def note_batch(self, size: int, failed: bool = False) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_requests += size
-            self.executed += size
-            if size > 1:
-                self.fused += size
-            if failed:
-                self.failures += size
-
-    def note_served(self, tenant: str, cost: float) -> None:
-        with self._lock:
-            row = self._tenants.setdefault(
-                tenant, {"served_requests": 0.0, "served_cost": 0.0}
-            )
-            row["served_requests"] += 1.0
-            row["served_cost"] += cost
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "admitted": self.admitted,
-                "executed": self.executed,
-                "fused_requests": self.fused,
-                "batches": self.batches,
-                "batch_requests": self.batch_requests,
-                "failures": self.failures,
-                "cancelled": self.cancelled,
-                "rejected": self.rejected,
-                "hit_rate": (
-                    self.fused / self.executed if self.executed else 0.0
-                ),
-                "batch_occupancy": (
-                    self.batch_requests / self.batches
-                    if self.batches
-                    else 0.0
-                ),
-                "tenants": {
-                    t: dict(row)
-                    for t, row in sorted(self._tenants.items())
-                },
-            }
-
-
-_STATS = _FusionStats()
+COUNTERS.declare(
+    "fusion", "admitted", "executed", "fused_requests", "batches",
+    "batch_requests", "failures", "cancelled", "rejected",
+)
 
 
 def fusion_stats() -> Dict[str, Any]:
     """Process-wide cumulative fusion-gate statistics."""
-    return _STATS.snapshot()
+    stats = COUNTERS.snapshot("fusion")
+    served = stats.pop("served_requests", {})
+    cost = stats.pop("served_cost", {})
+    executed, batches = stats["executed"], stats["batches"]
+    stats["hit_rate"] = stats["fused_requests"] / executed if executed else 0.0
+    stats["batch_occupancy"] = (
+        stats["batch_requests"] / batches if batches else 0.0
+    )
+    stats["tenants"] = {
+        tenant: {"served_requests": served[tenant], "served_cost": cost[tenant]}
+        for tenant in sorted(served)
+    }
+    return stats
 
 
-def reset_fusion_stats() -> None:
-    """Zero the counters (tests, fresh benchmark runs)."""
-    _STATS.reset()
+COUNTERS.register_gauge("fusion_hit_rate", lambda: fusion_stats()["hit_rate"])
+COUNTERS.register_gauge(
+    "fusion_batch_occupancy", lambda: fusion_stats()["batch_occupancy"]
+)
+COUNTERS.register_gauge(
+    "fusion_tenant_served_cost",
+    lambda: COUNTERS.snapshot("fusion").get("served_cost", {}),
+    label="tenant",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +163,14 @@ class FusionGate:
     """Holds eligible requests briefly, flushes them as fused batches.
 
     All state lives on the event loop (no locks); the only cross-thread
-    artefacts are the process-wide :data:`_STATS` counters.  See the
+    artefacts are the registry's process-wide ``fusion`` counters.  See the
     module docstring for the scheduling policy.
     """
 
     def __init__(
         self,
         executor: SimulationExecutor,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[CounterRegistry] = None,
         cache: Optional[ResultCache] = None,
         window_ms: Optional[float] = None,
         min_batch: Optional[int] = None,
@@ -245,7 +179,7 @@ class FusionGate:
         max_pending: Optional[int] = None,
     ) -> None:
         self.executor = executor
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else CounterRegistry()
         self.cache = cache
         self.window_ms = (
             env_float("REPRO_FUSION_WINDOW_MS", 0.0, minimum=0.0)
@@ -359,7 +293,7 @@ class FusionGate:
         on cancellation.
         """
         if self._depth >= self.max_pending:
-            _STATS.note_rejected()
+            COUNTERS.record("fusion", rejected=1)
             self.metrics.inc("fusion_rejected_total")
             raise FusionSaturated(self._depth)
         loop = asyncio.get_running_loop()
@@ -373,7 +307,7 @@ class FusionGate:
             self._group_counts.get(entry.group, 0) + 1
         )
         self._depth += 1
-        _STATS.note_admitted()
+        COUNTERS.record("fusion", admitted=1)
         self.metrics.inc("fusion_requests_total")
         if self._wake is not None:
             self._wake.set()
@@ -416,7 +350,7 @@ class FusionGate:
                 self._deficit.pop(entry.tenant, None)
         if not entry.future.done():
             entry.future.cancel()
-        _STATS.note_cancelled()
+        COUNTERS.record("fusion", cancelled=1)
         self.metrics.inc("fusion_cancelled_total")
         return True
 
@@ -511,12 +445,28 @@ class FusionGate:
             self.metrics.observe(
                 "fusion_window_wait", now - entry.enqueued_at
             )
-            _STATS.note_served(entry.tenant, entry.cost)
+            COUNTERS.record(
+                "fusion",
+                {"tenant": entry.tenant},
+                served_requests=1.0,
+                served_cost=entry.cost,
+            )
             groups.setdefault(entry.group, []).append(entry)
         for entries in groups.values():
             task = asyncio.create_task(self._run_group(entries))
             self._group_tasks.add(task)
             task.add_done_callback(self._group_tasks.discard)
+
+    @staticmethod
+    def _note_batch(size: int, failures: int = 0) -> None:
+        COUNTERS.record(
+            "fusion",
+            batches=1,
+            batch_requests=size,
+            executed=size,
+            fused_requests=size if size > 1 else 0,
+            failures=failures,
+        )
 
     async def _run_group(self, entries: List[_Entry]) -> None:
         requests = [entry.request for entry in entries]
@@ -528,7 +478,7 @@ class FusionGate:
                     entry.future.cancel()
             raise
         except Exception as exc:  # noqa: BLE001 — surfaced via futures
-            _STATS.note_batch(len(entries), failed=True)
+            self._note_batch(len(entries), failures=len(entries))
             self.metrics.inc(
                 "fusion_batches_failed_total",
                 labels={"error": type(exc).__name__},
@@ -537,7 +487,7 @@ class FusionGate:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
         else:
-            _STATS.note_batch(len(entries))
+            self._note_batch(len(entries))
             self.metrics.inc("fusion_batches_total")
             for entry, payload in zip(entries, results):
                 if self.cache is not None:

@@ -32,10 +32,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..runtime.counters import CounterRegistry
 from .cache import ResultCache
 from .executor import SimulationExecutor, fusion_eligible
 from .fusion import FusionGate, FusionSaturated
-from .metrics import ServiceMetrics
 from .model import SimRequest
 
 __all__ = ["AdmissionError", "JobScheduler"]
@@ -76,14 +76,14 @@ class JobScheduler:
         self,
         executor: SimulationExecutor,
         cache: Optional[ResultCache] = None,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[CounterRegistry] = None,
         max_queue: int = 256,
         concurrency: int = 4,
         fusion: Optional[FusionGate] = None,
     ) -> None:
         self.executor = executor
         self.cache = cache if cache is not None else ResultCache()
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else CounterRegistry()
         self.max_queue = max_queue
         self.concurrency = concurrency
         self.fusion = fusion

@@ -43,11 +43,12 @@ import json
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .work import WorkHandler
 
+from ..runtime.counters import COUNTERS, CounterRegistry
 from .cache import ResultCache
 from .executor import (
     CircuitRejected,
@@ -56,7 +57,6 @@ from .executor import (
     lint_gate,
 )
 from .fusion import FusionGate, fusion_stats
-from .metrics import ServiceMetrics
 from .model import (
     RequestValidationError,
     SimRequest,
@@ -93,7 +93,7 @@ class ArithmeticService:
         self,
         executor: Optional[SimulationExecutor] = None,
         cache: Optional[ResultCache] = None,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[CounterRegistry] = None,
         max_queue: int = 256,
         concurrency: int = 4,
         lint_requests: bool = True,
@@ -103,7 +103,7 @@ class ArithmeticService:
         from .work import WorkHandler
 
         self.work = work if work is not None else WorkHandler()
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else CounterRegistry()
         self.executor = executor if executor is not None else SimulationExecutor(
             workers=0, concurrency=concurrency
         )
@@ -142,64 +142,11 @@ class ArithmeticService:
         self.metrics.register_gauge(
             "inflight_requests", lambda: self._inflight_http
         )
-        # Batched-trajectory-scheduler efficiency (process-wide; only
-        # moves when executions run in-process or with dedup enabled).
-        from ..sim.batch import scheduler_stats
-
-        self.metrics.register_gauge(
-            "trajectory_dedup_ratio",
-            lambda: scheduler_stats()["dedup_ratio"],
-        )
-        self.metrics.register_gauge(
-            "trajectory_batch_occupancy",
-            lambda: scheduler_stats()["batch_occupancy"],
-        )
-        self.metrics.register_gauge(
-            "trajectories_spent_total",
-            lambda: scheduler_stats()["trajectories_sampled"],
-        )
-        # Per-backend kernel-cache traffic: one gauge per (tier, field)
-        # so mixed-precision traffic (numpy64 vs numpy32 requests, plus
-        # the dtype-independent "shared" pool) is observable.
-        from ..sim.program import kernel_cache_stats
-
-        def _kernel_tier_gauge(tier: str, field: str) -> Callable[[], float]:
-            def read() -> float:
-                by_backend = kernel_cache_stats()["by_backend"]
-                assert isinstance(by_backend, dict)
-                return float(by_backend.get(tier, {}).get(field, 0))
-
-            return read
-
-        for tier in ("numpy64", "numpy32", "shared"):
-            for field in ("hits", "misses", "bytes"):
-                self.metrics.register_gauge(
-                    f"kernel_cache_{tier}_{field}",
-                    _kernel_tier_gauge(tier, field),
-                )
-        # Fusion-gate observability: hit rate / occupancy come from the
-        # process-wide counters, depth and deficits from the live gate.
-        # Window-wait p50/p99 ride the "fusion_window_wait" histogram.
-        self.metrics.register_gauge(
-            "fusion_hit_rate", lambda: fusion_stats()["hit_rate"]
-        )
-        self.metrics.register_gauge(
-            "fusion_batch_occupancy",
-            lambda: fusion_stats()["batch_occupancy"],
-        )
         self.metrics.register_gauge(
             "fusion_pending", lambda: float(self.fusion.depth())
         )
-        self.metrics.register_labeled_gauge(
-            "fusion_tenant_deficit", "tenant", self.fusion.tenant_deficits
-        )
-        self.metrics.register_labeled_gauge(
-            "fusion_tenant_served_cost",
-            "tenant",
-            lambda: {
-                tenant: row["served_cost"]
-                for tenant, row in fusion_stats()["tenants"].items()
-            },
+        self.metrics.register_gauge(
+            "fusion_tenant_deficit", self.fusion.tenant_deficits, label="tenant"
         )
 
     # -- lifecycle --------------------------------------------------------
@@ -376,7 +323,7 @@ class ArithmeticService:
             return (
                 200,
                 {"Content-Type": "text/plain; version=0.0.4"},
-                self.metrics.render_prometheus().encode(),
+                self.metrics_text().encode(),
             )
         return 404, {}, _err(f"no route {path!r}")
 
@@ -626,15 +573,25 @@ class ArithmeticService:
             }
         )
 
+    def metrics_text(self) -> str:
+        """``/metrics``: this service's registry, then the process-wide one."""
+        return self.metrics.render_prometheus() + COUNTERS.render_prometheus()
+
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` document (shared shape with the CLI)."""
         snapshot = cache_stats_snapshot(result_cache=self.cache)
+        metrics = self.metrics.stats_dict()
+        # The process-wide counters have their own sections in the
+        # snapshot; only the process-wide gauges join the service's.
+        shared = COUNTERS.stats_dict()
+        metrics["gauges"].update(shared["gauges"])
+        metrics["labeled_gauges"].update(shared["labeled_gauges"])
         snapshot.update(
             {
                 "uptime_seconds": time.monotonic() - self.started_at,
                 "queue": self.scheduler.queue_stats(),
                 "executor": self.executor.describe(),
-                "metrics": self.metrics.stats_dict(),
+                "metrics": metrics,
                 "work": self.work.stats(),
                 "fusion": {
                     **self.fusion.describe(),

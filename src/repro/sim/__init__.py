@@ -5,7 +5,6 @@ from .batch import (
     FusedTrajectoryScheduler,
     TaskResult,
     TrajectoryTask,
-    reset_scheduler_stats,
     scheduler_stats,
 )
 from .density import DensityMatrix, DensityMatrixEngine
@@ -17,7 +16,6 @@ from .engines import (
 from .perturbative import PerturbativeEngine
 from .program import (
     CompiledProgram,
-    CompileStats,
     compile_cache_stats,
     compile_circuit,
     kernel_cache_stats,
@@ -29,7 +27,6 @@ from .trajectories import TrajectoryEngine
 
 __all__ = [
     "CompiledProgram",
-    "CompileStats",
     "compile_circuit",
     "compile_cache_stats",
     "kernel_cache_stats",
@@ -43,7 +40,6 @@ __all__ = [
     "TrajectoryTask",
     "TaskResult",
     "scheduler_stats",
-    "reset_scheduler_stats",
     "PerturbativeEngine",
     "simulate_counts",
     "simulate_distribution",

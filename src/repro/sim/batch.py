@@ -44,12 +44,12 @@ bit-invisible, and ``adaptive=False`` is literally a single round.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..runtime import sanitizer
+from ..runtime.counters import COUNTERS
 from ..runtime.envutil import env_mb_bytes
 from ..runtime.health import check_norms, norm_tolerance
 from .backend import get_backend, resolve_complex_dtype
@@ -64,81 +64,41 @@ __all__ = [
     "FusedTrajectoryScheduler",
     "run_request_tasks",
     "scheduler_stats",
-    "reset_scheduler_stats",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Process-wide stats (service /metrics gauges)
+# Process-wide counters (the registry's ``scheduler`` namespace)
 # ---------------------------------------------------------------------------
 
-class _SchedulerStats:
-    """Cumulative counters of every scheduler run in this process."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._zero()
-
-    def _zero(self) -> None:
-        self.tasks = 0
-        self.trajectories_sampled = 0
-        self.rows_simulated = 0
-        self.chunks = 0
-        self.chunk_rows = 0
-        self.decided_early = 0
-
-    def reset(self) -> None:
-        with self._lock:
-            self._zero()
-
-    def note(
-        self,
-        tasks: int,
-        sampled: int,
-        simulated: int,
-        chunks: int,
-        chunk_rows: int,
-        decided: int,
-    ) -> None:
-        with self._lock:
-            self.tasks += tasks
-            self.trajectories_sampled += sampled
-            self.rows_simulated += simulated
-            self.chunks += chunks
-            self.chunk_rows += chunk_rows
-            self.decided_early += decided
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            simulated = max(1, self.rows_simulated)
-            chunks = max(1, self.chunks)
-            return {
-                "tasks": self.tasks,
-                "trajectories_sampled": self.trajectories_sampled,
-                "rows_simulated": self.rows_simulated,
-                "chunks": self.chunks,
-                "decided_early": self.decided_early,
-                "dedup_ratio": (
-                    self.trajectories_sampled / simulated
-                    if self.rows_simulated
-                    else 1.0
-                ),
-                "batch_occupancy": (
-                    self.chunk_rows / chunks if self.chunks else 0.0
-                ),
-            }
-
-
-_STATS = _SchedulerStats()
+COUNTERS.declare(
+    "scheduler", "tasks", "trajectories_sampled", "rows_simulated",
+    "chunks", "chunk_rows", "decided_early",
+)
 
 
 def scheduler_stats() -> Dict[str, float]:
-    """Process-wide scheduler counters (feeds the service gauges)."""
-    return _STATS.snapshot()
+    """Process-wide scheduler counters plus their derived ratios."""
+    stats = COUNTERS.snapshot("scheduler")
+    chunk_rows = stats.pop("chunk_rows")
+    simulated, chunks = stats["rows_simulated"], stats["chunks"]
+    stats["dedup_ratio"] = (
+        stats["trajectories_sampled"] / simulated if simulated else 1.0
+    )
+    stats["batch_occupancy"] = chunk_rows / chunks if chunks else 0.0
+    return stats
 
 
-def reset_scheduler_stats() -> None:
-    _STATS.reset()
+COUNTERS.register_gauge(
+    "trajectory_dedup_ratio", lambda: scheduler_stats()["dedup_ratio"]
+)
+COUNTERS.register_gauge(
+    "trajectory_batch_occupancy", lambda: scheduler_stats()["batch_occupancy"]
+)
+COUNTERS.register_gauge(
+    "trajectories_spent_total",
+    lambda: scheduler_stats()["trajectories_sampled"],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +356,14 @@ class FusedTrajectoryScheduler:
                         self._check_decided(s, rnd)
         results = {s.task.key: s.result(s.task.program.num_qubits)
                    for s in states}
-        _STATS.note(
+        COUNTERS.record(
+            "scheduler",
             tasks=len(states),
-            sampled=sum(s.trajectories_sampled for s in states),
-            simulated=sum(s.rows_simulated for s in states),
+            trajectories_sampled=sum(s.trajectories_sampled for s in states),
+            rows_simulated=sum(s.rows_simulated for s in states),
             chunks=self._chunks_run,
             chunk_rows=self._chunk_rows_run,
-            decided=sum(1 for s in states if s.decided),
+            decided_early=sum(1 for s in states if s.decided),
         )
         return results
 

@@ -49,7 +49,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,13 +58,13 @@ from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.gates import is_diagonal_gate, phase_on_ones
 from ..noise.channels import PauliError, QuantumError, ResetError
 from ..noise.model import NoiseModel
+from ..runtime.counters import COUNTERS, CounterView
 from ..runtime.envutil import env_mb_bytes
 from .backend import canonical_complex, dtype_tag, kernel_group
 from .ops import _GLOBAL_BITS, _apply_phase_on_mask, apply_instruction
 
 __all__ = [
     "CompiledProgram",
-    "CompileStats",
     "compile_circuit",
     "as_program",
     "circuit_fingerprint",
@@ -114,20 +114,6 @@ class KernelCache:
         self._group_of: Dict[tuple, str] = {}
         self._lock = threading.RLock()
         self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.groups: Dict[str, Dict[str, int]] = {}
-
-    def _group_counters(self, group: str) -> Dict[str, int]:
-        # Reentrant: every caller already holds self._lock (an RLock),
-        # so this stands alone safely too.
-        with self._lock:
-            g = self.groups.get(group)
-            if g is None:
-                g = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-                self.groups[group] = g
-            return g
 
     def get(self, key: tuple, builder, group: str = "shared") -> object:
         # The whole read-modify-write (recency refresh, eviction loop,
@@ -138,38 +124,33 @@ class KernelCache:
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
-                self.hits += 1
-                self._group_counters(group)["hits"] += 1
+                COUNTERS.record("kernel", {"tier": group}, hits=1)
                 # Refresh recency (dicts preserve insertion order).
                 del self._entries[key]
                 self._entries[key] = value
                 return value
-            self.misses += 1
             value = builder()
             nbytes = sum(
                 getattr(a, "nbytes", 0)
                 for a in (value if isinstance(value, tuple) else (value,))
             )
+            evicted = 0
             while (
                 self.total_bytes + nbytes > self.budget_bytes
                 and self._entries
             ):
                 old_key = next(iter(self._entries))
-                old_bytes = self._nbytes.pop(old_key)
-                self.total_bytes -= old_bytes
+                self.total_bytes -= self._nbytes.pop(old_key)
                 del self._entries[old_key]
-                old_group = self._group_counters(self._group_of.pop(old_key))
-                old_group["entries"] -= 1
-                old_group["bytes"] -= old_bytes
-                self.evictions += 1
+                del self._group_of[old_key]
+                evicted += 1
             self._entries[key] = value
             self._nbytes[key] = nbytes
             self._group_of[key] = group
             self.total_bytes += nbytes
-            g = self._group_counters(group)
-            g["misses"] += 1
-            g["entries"] += 1
-            g["bytes"] += nbytes
+            COUNTERS.record("kernel", {"tier": group}, misses=1)
+            if evicted:
+                COUNTERS.record("kernel", evictions=evicted)
             return value
 
     def clear(self) -> None:
@@ -178,15 +159,13 @@ class KernelCache:
             self._nbytes.clear()
             self._group_of.clear()
             self.total_bytes = 0
-            for g in self.groups.values():
-                g["entries"] = 0
-                g["bytes"] = 0
 
 
 _KERNELS = KernelCache()
+COUNTERS.declare("kernel", "evictions")
 
 
-def kernel_cache_stats() -> Dict[str, object]:
+def kernel_cache_stats() -> Dict[str, Any]:
     """Hit/miss/byte counters of the process-wide kernel cache.
 
     ``by_backend`` breaks hits/misses/entries/bytes down per backend
@@ -194,16 +173,39 @@ def kernel_cache_stats() -> Dict[str, object]:
     observable from ``/stats``, ``/metrics`` and ``cache-stats``.
     """
     with _KERNELS._lock:
+        counts = COUNTERS.snapshot("kernel")
+        hits, misses = counts.get("hits", {}), counts.get("misses", {})
+        tiers = set(hits) | set(misses) | set(_KERNELS._group_of.values())
+        by_backend = {
+            tier: {
+                "hits": hits.get(tier, 0),
+                "misses": misses.get(tier, 0),
+                "entries": 0,
+                "bytes": 0,
+            }
+            for tier in sorted(tiers)
+        }
+        for key, tier in _KERNELS._group_of.items():
+            by_backend[tier]["entries"] += 1
+            by_backend[tier]["bytes"] += _KERNELS._nbytes[key]
         return {
-            "hits": _KERNELS.hits,
-            "misses": _KERNELS.misses,
-            "evictions": _KERNELS.evictions,
+            "hits": sum(hits.values()),
+            "misses": sum(misses.values()),
+            "evictions": counts["evictions"],
             "total_bytes": _KERNELS.total_bytes,
             "entries": len(_KERNELS._entries),
-            "by_backend": {
-                group: dict(g) for group, g in sorted(_KERNELS.groups.items())
-            },
+            "by_backend": by_backend,
         }
+
+
+for _tier in ("numpy64", "numpy32", "shared"):
+    for _field in ("hits", "misses", "bytes"):
+        COUNTERS.register_gauge(
+            f"kernel_cache_{_tier}_{_field}",
+            lambda t=_tier, f=_field: float(
+                kernel_cache_stats()["by_backend"].get(t, {}).get(f, 0)
+            ),
+        )
 
 
 def _build_diag(
@@ -908,43 +910,15 @@ class _Skeleton:
         self._bound: Dict[str, CompiledProgram] = {}
 
 
-class CompileStats:
-    """Counters for the two cache levels (sweep-wide, process-local)."""
-
-    __slots__ = ("lowerings", "lower_hits", "binds", "bind_hits", "_lock")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.lowerings = 0
-            self.lower_hits = 0
-            self.binds = 0
-            self.bind_hits = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "lowerings": self.lowerings,
-            "lower_hits": self.lower_hits,
-            "binds": self.binds,
-            "bind_hits": self.bind_hits,
-        }
-
-    def __repr__(self) -> str:
-        return f"CompileStats({self.as_dict()})"
-
-
-_STATS = CompileStats()
+COUNTERS.declare("compile", "lowerings", "lower_hits", "binds", "bind_hits")
 _LOWER_CACHE: "weakref.WeakKeyDictionary[QuantumCircuit, Dict[tuple, _Skeleton]]" = (
     weakref.WeakKeyDictionary()
 )
 _FP_CACHE: "weakref.WeakKeyDictionary[QuantumCircuit, str]" = (
     weakref.WeakKeyDictionary()
 )
-#: Guards the compile caches (_LOWER_CACHE/_FP_CACHE/skeleton binds) and
-#: the _STATS counters.  Reentrant: compile_circuit -> _lower ->
+#: Guards the compile caches (_LOWER_CACHE/_FP_CACHE/skeleton binds).
+#: Reentrant: compile_circuit -> _lower ->
 #: circuit_fingerprint all touch cached state.  Holding it across the
 #: lowering serialises compilation, which is deliberate — lowering is
 #: rare (cache-keyed per structure) and a duplicate concurrent lowering
@@ -952,9 +926,9 @@ _FP_CACHE: "weakref.WeakKeyDictionary[QuantumCircuit, str]" = (
 _COMPILE_LOCK = threading.RLock()
 
 
-def compile_cache_stats() -> CompileStats:
-    """The process-wide compile-cache counters."""
-    return _STATS
+def compile_cache_stats() -> CounterView:
+    """A live view of the process-wide compile-cache counters."""
+    return CounterView(COUNTERS, "compile")
 
 
 def reset_compile_caches() -> None:
@@ -963,7 +937,7 @@ def reset_compile_caches() -> None:
         _LOWER_CACHE.clear()
         _FP_CACHE.clear()
         _KERNELS.clear()
-        _STATS.reset()
+        COUNTERS.reset("compile")
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
@@ -1117,23 +1091,22 @@ def compile_circuit(
                 pass
         key = (noise.structure_key(), bool(optimize))
         skeleton = per_circuit.get(key)
+        lower = "lower_hits" if skeleton is not None else "lowerings"
         if skeleton is None:
-            _STATS.lowerings += 1
             skeleton = _lower(circuit, noise, bool(optimize))
             per_circuit[key] = skeleton
-        else:
-            _STATS.lower_hits += 1
 
         noise_fp = noise.fingerprint()
         program = skeleton._bound.get(noise_fp)
+        bind = "bind_hits" if program is not None else "binds"
         if program is None:
-            _STATS.binds += 1
             program = _bind(skeleton, noise)
             if len(skeleton._bound) >= _Skeleton.BIND_CAP:
                 skeleton._bound.pop(next(iter(skeleton._bound)))
             skeleton._bound[noise_fp] = program
-        else:
-            _STATS.bind_hits += 1
+        # Both outcomes in one update, so every snapshot satisfies
+        # lowerings + lower_hits == binds + bind_hits.
+        COUNTERS.record("compile", **{lower: 1, bind: 1})
         return program
 
 

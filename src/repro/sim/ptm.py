@@ -46,6 +46,7 @@ from ..noise.channels import PauliError, QuantumError
 from ..noise.model import NoiseModel
 from ..noise.pauli import PAULI_CHARS, PAULI_MATRICES, pauli_matrix
 from ..runtime import sanitizer
+from ..runtime.counters import COUNTERS
 from ..runtime.errors import width_limit_error
 from ..runtime.health import NumericalHealthError, check_finite, norm_tolerance
 from .backend import (
@@ -134,26 +135,21 @@ _Step = Tuple[str, np.ndarray, Tuple[int, ...]]
 _PLAN_CAP = 128
 _PLAN_LOCK = threading.Lock()
 _PLANS: Dict[tuple, List[_Step]] = {}
-_PLAN_STATS = {"binds": 0, "bind_hits": 0}
+COUNTERS.declare("ptm", "binds", "bind_hits")
 
 
 def ptm_cache_stats() -> Dict[str, int]:
     """Bound-plan cache counters (``binds`` = plans compiled, hits =
     re-served from the fingerprint-keyed cache)."""
     with _PLAN_LOCK:
-        return {
-            "plans": len(_PLANS),
-            "binds": _PLAN_STATS["binds"],
-            "bind_hits": _PLAN_STATS["bind_hits"],
-        }
+        return {"plans": len(_PLANS), **COUNTERS.snapshot("ptm")}
 
 
 def reset_ptm_cache() -> None:
     """Drop cached plans and zero the counters (tests/benchmarks)."""
     with _PLAN_LOCK:
         _PLANS.clear()
-        _PLAN_STATS["binds"] = 0
-        _PLAN_STATS["bind_hits"] = 0
+        COUNTERS.reset("ptm")
 
 
 def _gate_ptm(term, real_dtype, tag: str) -> np.ndarray:
@@ -247,7 +243,7 @@ def _plan_for(
     with _PLAN_LOCK:
         plan = _PLANS.get(key)
         if plan is not None:
-            _PLAN_STATS["bind_hits"] += 1
+            COUNTERS.record("ptm", bind_hits=1)
             del _PLANS[key]
             _PLANS[key] = plan  # refresh LRU recency
             return plan
@@ -256,7 +252,7 @@ def _plan_for(
     # wasteful but correct (last writer wins).
     plan = _build_plan(program, real_dtype, tag)
     with _PLAN_LOCK:
-        _PLAN_STATS["binds"] += 1
+        COUNTERS.record("ptm", binds=1)
         while len(_PLANS) >= _PLAN_CAP:
             _PLANS.pop(next(iter(_PLANS)))
         _PLANS[key] = plan

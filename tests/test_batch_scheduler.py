@@ -28,10 +28,10 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import run_sweep
 from repro.metrics.success import evaluate_instance
+from repro.runtime.counters import COUNTERS
 from repro.sim.batch import (
     FusedTrajectoryScheduler,
     TrajectoryTask,
-    reset_scheduler_stats,
     scheduler_stats,
 )
 from repro.sim.engines import simulate_counts
@@ -335,7 +335,7 @@ class TestSweepIntegration:
 
 class TestSchedulerStats:
     def test_counters_accumulate(self):
-        reset_scheduler_stats()
+        COUNTERS.reset("scheduler")
         program = _program()
         FusedTrajectoryScheduler().run(_tasks(program, count=2))
         stats = scheduler_stats()
@@ -344,15 +344,14 @@ class TestSchedulerStats:
         assert stats["rows_simulated"] > 0
         assert stats["dedup_ratio"] >= 1.0
         assert stats["batch_occupancy"] > 0
-        reset_scheduler_stats()
+        COUNTERS.reset("scheduler")
         assert scheduler_stats()["tasks"] == 0
 
     def test_service_gauges_exposed(self):
-        from repro.service.metrics import ServiceMetrics
         from repro.service.server import ArithmeticService
 
-        service = ArithmeticService(metrics=ServiceMetrics())
-        text = service.metrics.render_prometheus()
+        service = ArithmeticService()
+        text = service.metrics_text()
         assert "trajectory_dedup_ratio" in text
         assert "trajectory_batch_occupancy" in text
         assert "trajectories_spent_total" in text

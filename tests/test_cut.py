@@ -35,7 +35,6 @@ from repro.cut import (
     cut_distribution,
     cut_stats,
     find_cuts,
-    reset_cut_stats,
 )
 from repro.cut.fragments import build_variant_jobs
 from repro.cut.parallel import (
@@ -50,6 +49,7 @@ from repro.experiments.runner import (
     build_arithmetic_circuit,
     noise_model_for,
 )
+from repro.runtime.counters import COUNTERS
 from repro.runtime.errors import WidthLimitError
 from repro.sim.density import DensityMatrixEngine
 from repro.sim.methods import METHODS
@@ -320,7 +320,7 @@ def test_resolve_runner_precedence():
 
 
 def test_cut_stats_counters():
-    reset_cut_stats()
+    COUNTERS.reset("cut")
     qc = build_arithmetic_circuit("add", 2, 2, None)
     init = _instance("add", 2, 2, [1], [2]).initial_statevector()
     cut_distribution(

@@ -10,6 +10,8 @@ resolved-method audit trail on simulation results.
 
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -349,6 +351,46 @@ class TestCompileCache:
         prog = compile_circuit(bell(), NoiseModel.ideal())
         assert prog.num_noise_sites == 0
         assert not prog.readout
+
+    def test_snapshots_never_see_half_a_compile(self):
+        # Fresh circuit objects force a lowering (the slow step) on
+        # every call, so a snapshot taken between the lower and bind
+        # bookkeeping of an unlocked ledger would break the identity.
+        reset_compile_caches()
+        stop = threading.Event()
+        torn = []
+
+        def compile_many(seed):
+            for i in range(40):
+                qc = QuantumCircuit(3)
+                qc.h(0).cx(0, 1).rz(0.1 * (seed + i), 2).cx(1, 2)
+                compile_circuit(qc, noise_model_for("2q", 0.001 * (i % 4 + 1)))
+
+        def watch():
+            while not stop.is_set():
+                s = compile_cache_stats().as_dict()
+                if s["lowerings"] + s["lower_hits"] != s["binds"] + s["bind_hits"]:
+                    torn.append(s)
+
+        watcher = threading.Thread(target=watch)
+        workers = [
+            threading.Thread(target=compile_many, args=(k,)) for k in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            watcher.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            stop.set()
+            watcher.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [watcher])
+        assert not torn, torn[:3]
+        assert compile_cache_stats().lowerings == 4 * 40
 
 
 # ---------------------------------------------------------------------------

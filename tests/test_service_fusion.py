@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.runtime import sanitizer
+from repro.runtime.counters import COUNTERS
 from repro.runtime.supervisor import RetryPolicy
 from repro.service import (
     ArithmeticService,
@@ -35,7 +36,6 @@ from repro.service import (
     SweepRequest,
     fusion_eligible,
     fusion_stats,
-    reset_fusion_stats,
 )
 from repro.service.executor import (
     _execute_fused_batch,
@@ -290,7 +290,7 @@ def test_sweep_request_model_validation():
 
 
 def test_sweep_streams_partials_and_done():
-    reset_fusion_stats()
+    COUNTERS.reset("fusion")
     with fused_server(window_ms=20, min_batch=3) as srv:
         client = ServiceClient(*srv.address)
         parts = list(client.submit_sweep(dict(REQ), RATES))
@@ -358,7 +358,7 @@ def test_sweep_mid_stream_disconnect_cancels_pending():
 # ---------------------------------------------------------------------------
 
 def test_fusion_metrics_and_stats_surfaces():
-    reset_fusion_stats()
+    COUNTERS.reset("fusion")
     with fused_server(window_ms=20, min_batch=3) as srv:
         client = ServiceClient(*srv.address)
         list(client.submit_sweep(dict(REQ, tenant="team-a"), RATES))
@@ -381,3 +381,19 @@ def test_fusion_metrics_and_stats_surfaces():
     snapshot = cache_stats_snapshot()
     assert snapshot["fusion"]["admitted"] >= len(RATES)
     assert "fusion" in render_cache_stats(snapshot)
+
+
+def test_metrics_escape_hostile_tenant_labels():
+    tenant = 'a"} 1\nrepro_injected 99 #'
+    with fused_server(window_ms=20, min_batch=1) as srv:
+        client = ServiceClient(*srv.address)
+        resp = client.simulate(dict(REQ, tenant=tenant))
+        assert resp.cache == "fused"
+        text = client.metrics_text()
+    lines = text.splitlines()
+    assert not [line for line in lines if line.startswith("repro_injected")]
+    escaped = 'a\\"} 1\\nrepro_injected 99 #'
+    assert any(
+        line.startswith(f'repro_fusion_tenant_served_cost{{tenant="{escaped}"}} ')
+        for line in lines
+    )
