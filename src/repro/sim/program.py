@@ -43,6 +43,7 @@ vector; shipping a program to a worker process pickles descriptors only.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import hashlib
 import threading
@@ -162,11 +163,15 @@ class KernelCache:
 
 
 _KERNELS = KernelCache()
-COUNTERS.declare("kernel", "evictions")
+COUNTERS.declare("kernel", "evictions", "folds", "prefix_reuse")
 
 
 def kernel_cache_stats() -> Dict[str, Any]:
     """Hit/miss/byte counters of the process-wide kernel cache.
+
+    ``folds`` counts the compose steps monomial pieces actually ran and
+    ``prefix_reuse`` the pieces built by extending a cached prefix
+    (:meth:`_MonoSegment.partial`).
 
     ``by_backend`` breaks hits/misses/entries/bytes down per backend
     tier (``numpy64``/``numpy32``/``shared``) so mixed-tier traffic is
@@ -192,6 +197,8 @@ def kernel_cache_stats() -> Dict[str, Any]:
             "hits": sum(hits.values()),
             "misses": sum(misses.values()),
             "evictions": counts["evictions"],
+            "folds": counts["folds"],
+            "prefix_reuse": counts["prefix_reuse"],
             "total_bytes": _KERNELS.total_bytes,
             "entries": len(_KERNELS._entries),
             "by_backend": by_backend,
@@ -302,14 +309,49 @@ def _perm_indices(n: int, name: str, qubits: Tuple[int, ...]) -> np.ndarray:
     )
 
 
+def _phase_factor(n: int, term: Term, dtype=None) -> Optional[np.ndarray]:
+    """A fresh ``2**n`` factor of one ``rz`` or phase-on-ones gate.
+
+    ``np.where(mask, hi, lo)`` with both scalars cast to the tier dtype
+    first: the same values :func:`_build_diag` gives a single term
+    (its ones-vector start multiplies by exactly one, and it casts
+    down once), without the ones-vector.  ``None`` for any other
+    diagonal gate.
+    """
+    name, qubits, params = term
+    scalar = np.dtype(canonical_complex if dtype is None else dtype).type
+    if name == "rz":
+        lam = params[0]
+        hi, lo = cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
+        mask = _GLOBAL_BITS.mask_bit(n, qubits[0])
+    else:
+        hi = phase_on_ones(_term_instruction(*term).gate)
+        if hi is None:
+            return None
+        lo = 1
+        mask = _GLOBAL_BITS.mask_bit(n, qubits[0])
+        for q in qubits[1:]:
+            mask = mask & _GLOBAL_BITS.mask_bit(n, q)
+    return np.where(mask, scalar(hi), scalar(lo))
+
+
 def _mono_compose(cur, op: "ProgramOp", n: int, dtype=None):
     """Compose ``op`` (applied after) onto the monomial ``cur``.
 
     Cached kernel arrays are never mutated: every step produces fresh
     arrays (or aliases a read-only cached one for the first factor).
+    A single-term ``rz`` or phase-on-ones op folds its fresh factor
+    ``w`` into the running phase in place, as ``np.multiply(ph, w,
+    out=w)``.  The operand order is part of the bit contract: complex
+    multiplication with fused multiply-add rounds ``w * ph`` and
+    ``ph * w`` differently, and ``ph * np.where(...)`` lets NumPy
+    reuse the temporary and compute the former.
     """
     src, ph = cur
     if isinstance(op, DiagonalOp):
+        w = _phase_factor(n, op.terms[0], dtype) if len(op.terms) == 1 else None
+        if w is not None:
+            return src, (w if ph is None else np.multiply(ph, w, out=w))
         d = op.diag(n, dtype)
         return src, (d if ph is None else ph * d)
     t = _perm_indices(n, op.name, op.qubits)
@@ -403,9 +445,13 @@ class DiagonalOp(ProgramOp):
 
     Single-term ops (a lone ``rz``/``cp``/... between two noise sites —
     the common case at paper noise, where every gate carries a channel)
-    replay the interpreter kernel directly instead of materialising and
-    caching a ``2**n`` vector per gate; only genuinely fused runs pay
-    for (and amortise) a cached phase vector.
+    never materialise or cache a ``2**n`` vector of their own: applied
+    to a state they replay the interpreter kernel, and composed into a
+    monomial an ``rz`` or phase-on-ones term folds its ``np.where``
+    factor straight into the running phase (:func:`_mono_compose`).
+    Only genuinely fused runs pay for (and amortise) a cached phase
+    vector; a single generic diagonal (``crz``) builds an uncached
+    one.
     """
 
     __slots__ = ("terms",)
@@ -638,7 +684,7 @@ class _MonoSegment:
     walker to materialise the partial product up to that point.
     """
 
-    __slots__ = ("elems", "sites", "key")
+    __slots__ = ("elems", "sites", "key", "_ends")
 
     def __init__(self, elems, sites, n: int) -> None:
         self.elems = elems
@@ -647,20 +693,20 @@ class _MonoSegment:
             e.terms if isinstance(e, DiagonalOp) else (e.name, e.qubits)
             for e in elems
         )
+        #: ``(start, dtype tag)`` -> sorted ends of the pieces this
+        #: segment has put in the kernel cache.  A hint only (the cache
+        #: may have evicted them since); read and written only under
+        #: the cache lock, because thread-tier workers share segments.
+        self._ends: Dict[Tuple[int, str], List[int]] = {}
 
     def full(self, n: int, dtype=None):
         """The run's composed monomial ``(src, ph)`` (kernel-cached).
 
         ``dtype`` selects the precision tier of the phase component;
         keys carry the dtype tag so tiers never share (or pollute)
-        entries.
+        entries.  Exactly ``partial(n, 0, len(elems), dtype)``.
         """
-        tag = dtype_tag(canonical_complex if dtype is None else dtype)
-        return _KERNELS.get(
-            self.key + (tag,),
-            lambda: _compose_elems((None, None), self.elems, n, dtype),
-            group=kernel_group(tag),
-        )
+        return self.partial(n, 0, len(self.elems), dtype)
 
     def partial(self, n: int, start: int, end: int, dtype=None):
         """The composed monomial of ``elems[start:end]`` (kernel-cached).
@@ -670,17 +716,53 @@ class _MonoSegment:
         shares the composition across rows, rounds and fused tasks.
         ``partial(n, 0, len(elems))`` is exactly :meth:`full` (same
         cache entry), so event-free spans pay nothing extra.
+
+        A missing piece extends the longest ``[start, k)`` piece of the
+        same tier still in the cache, folding only ``elems[k:end]`` onto
+        it.  Every piece is thus the left fold of its ops from the
+        identity, in circuit order, whichever pieces were asked for
+        before — so its bits do not depend on request order or on what
+        the cache evicted.  Pieces are never built from a cached
+        *suffix*: that would compose in a different order and round
+        differently.
         """
-        if start == 0 and end == len(self.elems):
-            return self.full(n, dtype)
         tag = dtype_tag(canonical_complex if dtype is None else dtype)
         return _KERNELS.get(
-            (self.key, start, end, tag),
-            lambda: _compose_elems(
-                (None, None), self.elems[start:end], n, dtype
-            ),
+            self._piece_key(start, end, tag),
+            lambda: self._extend(n, start, end, dtype, tag),
             group=kernel_group(tag),
         )
+
+    def _piece_key(self, start: int, end: int, tag: str) -> tuple:
+        if start == 0 and end == len(self.elems):
+            return self.key + (tag,)
+        return (self.key, start, end, tag)
+
+    def _extend(self, n: int, start: int, end: int, dtype, tag: str):
+        """Build ``elems[start:end]`` from its longest cached prefix."""
+        with _KERNELS._lock:
+            ends = self._ends.setdefault((start, tag), [])
+            cur, k = (None, None), start
+            # Longest prefix first; ends found evicted leave the index.
+            # The prefix is read without a recency refresh: refreshing
+            # it evicted pieces that are asked for more often, and
+            # measured more folds and misses on a 16-qubit adder cell.
+            for i in range(bisect.bisect_left(ends, end) - 1, -1, -1):
+                prefix = _KERNELS._entries.get(
+                    self._piece_key(start, ends[i], tag)
+                )
+                if prefix is not None:
+                    cur, k = prefix, ends[i]
+                    break
+                del ends[i]
+            cur = _compose_elems(cur, self.elems[k:end], n, dtype)
+            i = bisect.bisect_left(ends, end)
+            if ends[i:i + 1] != [end]:  # a rebuild after eviction
+                ends.insert(i, end)
+            COUNTERS.record(
+                "kernel", folds=end - k, prefix_reuse=int(k > start)
+            )
+            return cur
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,8 @@ Covers the lowering taxonomy (diagonal fusion, permutations, noise and
 measure sites), program<->circuit equivalence on random circuits (bit
 for bit for the unoptimized replay, numerically for the fused form),
 the decompile round-trip checked with the symbolic equivalence engine,
-the two-level compile cache, pickling for worker shipping, and the
+the two-level compile cache, bitwise parity of the cached monomial
+pieces with a plain left fold, pickling for worker shipping, and the
 resolved-method audit trail on simulation results.
 """
 
@@ -45,13 +46,18 @@ from repro.sim import (
     simulate_counts,
     simulate_distribution,
 )
+from repro.sim import program as program_mod
 from repro.sim.program import (
     DenseOp,
     DiagonalOp,
+    KernelCache,
     MeasureSiteOp,
     NoiseOp,
     PermutationOp,
+    _MonoSegment,
+    _perm_indices,
     circuit_fingerprint,
+    kernel_cache_stats,
 )
 from repro.transpile import transpile
 
@@ -391,6 +397,188 @@ class TestCompileCache:
         assert not any(t.is_alive() for t in workers + [watcher])
         assert not torn, torn[:3]
         assert compile_cache_stats().lowerings == 4 * 40
+
+
+# ---------------------------------------------------------------------------
+# Monomial pieces: prefix reuse and in-place folds, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_fold(elems, n, dtype):
+    """The fold before prefix reuse: from the identity, every diagonal
+    materialised by ``op.diag()`` and multiplied in as ``ph * d``."""
+    src, ph = None, None
+    for op in elems:
+        if isinstance(op, DiagonalOp):
+            d = op.diag(n, dtype)
+            ph = d if ph is None else ph * d
+        else:
+            t = _perm_indices(n, op.name, op.qubits)
+            src = t if src is None else np.take(src, t)
+            ph = None if ph is None else np.take(ph, t)
+    return src, ph
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        elif w.dtype.kind == "c":
+            assert g.dtype == w.dtype
+            assert np.array_equal(g.view(g.real.dtype), w.view(w.real.dtype))
+        else:
+            assert np.array_equal(g, w)
+
+
+def _hand_built_segment():
+    """5 qubits: rz, the phase-on-ones family, a generic diagonal, a
+    fused (cached) diagonal run and every permutation gate."""
+    diag = lambda *terms: DiagonalOp(terms)  # noqa: E731
+    elems = (
+        diag(("rz", (0,), (0.37,))),
+        PermutationOp("cx", (0, 2)),
+        diag(("cp", (1, 3), (1.1,))),
+        diag(("ccp", (0, 2, 4), (-0.8,))),
+        PermutationOp("x", (3,)),
+        diag(("z", (2,), ())),
+        diag(("s", (4,), ())),
+        PermutationOp("swap", (1, 4)),
+        diag(("t", (0,), ())),
+        diag(("crz", (3, 1), (0.9,))),
+        PermutationOp("ccx", (0, 1, 2)),
+        diag(("rz", (3,), (-2.2,)), ("cp", (0, 4), (0.5,)),
+             ("crz", (2, 0), (1.3,))),
+        diag(("sdg", (1,), ())),
+        diag(("tdg", (2,), ())),
+        diag(("rz", (4,), (2.9,))),
+    )
+    return 5, _MonoSegment(elems, (), 5)
+
+
+def _fold_segments():
+    """Fresh segments (empty prefix indexes): the hand-built one and
+    every segment of a noisy 8-qubit QFA program."""
+    prog = compile_circuit(
+        transpile(qfa_circuit(4, 4)), noise_model_for("1q", 0.003)
+    )
+    n = prog.num_qubits
+    qfa = [
+        (n, _MonoSegment(seg.elems, seg.sites, n))
+        for tag, seg in prog.exec_stream()
+        if tag == "seg" and seg.elems
+    ]
+    assert max(len(seg.elems) for _, seg in qfa) >= 20
+    return [_hand_built_segment()] + qfa
+
+
+def _kernel_counts():
+    stats = kernel_cache_stats()
+    return stats["folds"], stats["prefix_reuse"], stats["evictions"]
+
+
+class TestMonomialFold:
+    @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+    @pytest.mark.parametrize(
+        "order", ["shortest_first", "longest_first", "evicting"]
+    )
+    def test_pieces_match_the_reference_fold_bitwise(
+        self, monkeypatch, dtype, order
+    ):
+        dtype = np.dtype(dtype)
+        # A few pieces fit in the small budget (an 8-qubit piece is
+        # 2-5 KB), so prefixes get evicted between requests.
+        budget = 8 << 10 if order == "evicting" else 1 << 30
+        monkeypatch.setattr(program_mod, "_KERNELS", KernelCache(budget))
+        _, reused0, evicted0 = _kernel_counts()
+        for n, seg in _fold_segments():
+            size = len(seg.elems)
+            pieces = sorted(
+                ((s, e) for s in range(size) for e in range(s + 1, size + 1)),
+                key=lambda p: p[1] - p[0],
+                reverse=order == "longest_first",
+            )
+            for s, e in pieces:
+                got = (
+                    seg.full(n, dtype) if (s, e) == (0, size)
+                    else seg.partial(n, s, e, dtype)
+                )
+                _assert_same_bits(
+                    got, _reference_fold(seg.elems[s:e], n, dtype)
+                )
+        _, reused, evicted = _kernel_counts()
+        if order == "longest_first":
+            assert reused == reused0
+        else:
+            assert reused > reused0
+        assert (evicted > evicted0) == (order == "evicting")
+
+    def test_threads_sharing_a_segment_get_identical_pieces(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(program_mod, "_KERNELS", KernelCache(4 << 10))
+        n, seg = _hand_built_segment()
+        size = len(seg.elems)
+        pieces = [(s, e) for s in range(size) for e in range(s + 1, size + 1)]
+        want = {p: _reference_fold(seg.elems[p[0]:p[1]], n, None) for p in pieces}
+        errors = []
+
+        def walk(seed):
+            order = np.random.default_rng(seed).permutation(len(pieces))
+            try:
+                for i in order:
+                    s, e = pieces[i]
+                    _assert_same_bits(seg.partial(n, s, e), want[(s, e)])
+            except AssertionError as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        workers = [threading.Thread(target=walk, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert not errors
+
+    def test_folds_count_only_ops_past_a_cached_prefix(self, monkeypatch):
+        cache = KernelCache(1 << 30)
+        monkeypatch.setattr(program_mod, "_KERNELS", cache)
+        n, seg = _hand_built_segment()
+        s, k, e = 2, 6, 12
+        folds0, reused0, _ = _kernel_counts()
+        seg.partial(n, s, k)
+        folds1, reused1, _ = _kernel_counts()
+        assert (folds1 - folds0, reused1 - reused0) == (k - s, 0)
+        seg.partial(n, s, e)
+        folds2, reused2, _ = _kernel_counts()
+        assert (folds2 - folds1, reused2 - reused1) == (e - k, 1)
+        # One more piece into a cache with no room evicts everything.
+        cache.budget_bytes = 0
+        seg.partial(n, s + 1, e)
+        assert len(cache._entries) == 1
+        cache.budget_bytes = 1 << 30
+        folds3, reused3, _ = _kernel_counts()
+        seg.partial(n, s, e)
+        folds4, reused4, _ = _kernel_counts()
+        assert (folds4 - folds3, reused4 - reused3) == (e - s, 0)
+
+    def test_fold_counters_are_exported(self):
+        from repro.service.server import ArithmeticService
+        from repro.service.stats import cache_stats_snapshot
+
+        assert {"folds", "prefix_reuse"} <= set(
+            cache_stats_snapshot()["kernel_cache"]
+        )
+        service = ArithmeticService()
+        try:
+            text = service.metrics_text()
+        finally:
+            service.executor.shutdown(wait=False)
+        assert "repro_kernel_folds" in text
+        assert "repro_kernel_prefix_reuse" in text
 
 
 # ---------------------------------------------------------------------------
