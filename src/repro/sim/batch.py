@@ -53,7 +53,14 @@ from ..runtime.counters import COUNTERS
 from ..runtime.envutil import env_mb_bytes
 from ..runtime.health import check_norms, norm_tolerance
 from .backend import get_backend, resolve_complex_dtype
-from .ops import BitCache, apply_pauli_string_rows, probabilities
+from .ops import (
+    BitCache,
+    apply_pauli_string_rows,
+    apply_readout_flips,
+    multinomial_outcomes,
+    probabilities,
+    sample_rows,
+)
 from .program import CompiledProgram, _mono_apply_rows
 from .result import Counts
 from .statevector import zero_state
@@ -653,33 +660,19 @@ class FusedTrajectoryScheduler:
         rng = task.rng
         outs: List[np.ndarray] = []
         probs = plan.probs
-        clean_offset = 1 if plan.n_clean else 0
         if plan.n_clean:
-            outs.append(self._multinomial(rng, probs[0], plan.n_clean))
+            outs.append(multinomial_outcomes(rng, probs[0], plan.n_clean))
         if plan.B:
-            base, extra = divmod(plan.n_err, plan.B)
-            per_row = np.full(plan.B, base, dtype=int)
-            if extra:
-                lucky = rng.choice(plan.B, size=extra, replace=False)
-                per_row[lucky] += 1
-            for b in range(plan.B):
-                if per_row[b] == 0:
-                    continue
-                row = plan.row_of_traj[b]
-                # With dedup off every trajectory owns a row, but rows
-                # before ``clean_offset + b`` belong to earlier
-                # trajectories either way — ``row_of_traj`` already
-                # accounts for the clean row when present.
-                outs.append(
-                    self._multinomial(rng, probs[row], per_row[b])
-                )
+            # ``row_of_traj`` maps each trajectory to its (possibly
+            # shared, with dedup) row, past the clean row when present.
+            outs.append(
+                sample_rows(rng, probs, plan.n_err, plan.row_of_traj)
+            )
             plan.probs = None  # free the round's distributions
         outcomes = (
             np.concatenate(outs) if outs else np.empty(0, dtype=int)
         )
-        outcomes = self._apply_readout(
-            rng, outcomes, task.program.readout
-        )
+        outcomes = apply_readout_flips(rng, outcomes, task.program.readout)
         if sanitizer.enabled():
             # One portable event per (task, round): the sampled outcome
             # stream plus the RNG state it left behind.  Identical
@@ -696,30 +689,6 @@ class FusedTrajectoryScheduler:
             )
         state.outcomes.append(outcomes)
         state.shots_spent += plan.shots
-
-    @staticmethod
-    def _multinomial(
-        rng: np.random.Generator, pv: np.ndarray, shots: int
-    ) -> np.ndarray:
-        pv = pv.astype(np.float64, copy=True)
-        pv /= pv.sum()
-        cnt = rng.multinomial(shots, pv)
-        nz = np.flatnonzero(cnt)
-        return np.repeat(nz, cnt[nz])
-
-    @staticmethod
-    def _apply_readout(
-        rng: np.random.Generator, outcomes: np.ndarray, readout
-    ) -> np.ndarray:
-        if not readout or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q, p01, p10 in readout:
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, p10, p01)
-            flips = rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out
 
     # ------------------------------------------------------------------
     # Adaptive termination

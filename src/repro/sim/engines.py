@@ -171,7 +171,6 @@ def simulate_counts(
     rng: Optional[np.random.Generator] = None,
     initial_state: Optional[np.ndarray] = None,
     dtype=None,
-    split_clean: bool = True,
     dedup: bool = False,
     cut=None,
 ) -> Counts:
@@ -184,12 +183,10 @@ def simulate_counts(
     (fragment evaluation + tensor reconstruction; ``cut`` may carry a
     :class:`~repro.cut.CutConfig`) and needs the raw circuit.  ``dtype=None`` resolves through the active
     :mod:`~repro.sim.backend` (``REPRO_BACKEND``).
-    ``split_clean`` toggles the trajectory engine's exact ideal/erred
-    ensemble split (see :mod:`repro.sim.trajectories`); ``dedup``
-    routes Pauli-only trajectory runs through the batched scheduler,
-    which simulates each distinct error configuration once (exact, but
-    a different — equally valid — random stream).  The resolved engine
-    name is recorded as ``Counts.method``.
+    ``dedup`` routes Pauli-only trajectory runs through the batched
+    scheduler, which simulates each distinct error configuration once
+    (exact, but a different — equally valid — random stream).  The
+    resolved engine name is recorded as ``Counts.method``.
 
     ``circuit`` may be a precompiled
     :class:`~repro.sim.program.CompiledProgram` (e.g. from
@@ -207,8 +204,7 @@ def simulate_counts(
         method = choose_method(circuit, noise_model)
     if method == "trajectory":
         engine = TrajectoryEngine(
-            trajectories=trajectories, rng=rng, dtype=dtype,
-            split_clean=split_clean, dedup=dedup,
+            trajectories=trajectories, rng=rng, dtype=dtype, dedup=dedup,
         )
         counts = engine.run(circuit, noise_model, shots, initial_state)
         counts.method = method

@@ -12,12 +12,16 @@ Diagonal gates (the bulk of QFT arithmetic: ``rz``, ``cp``, ``ccp``)
 multiply a masked slice in place; ``x``/``cx``/``ccx``/``swap`` are pure
 index permutations; only genuinely dense gates (``h``, ``sx``) pay for a
 matrix contraction.
+
+The shot-sampling and readout-flip helpers at the end are shared by the
+trajectory engine and the batched scheduler, so both consume a
+generator in the same order.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +33,10 @@ __all__ = [
     "apply_instruction",
     "apply_pauli_rows",
     "apply_pauli_string_rows",
+    "apply_readout_flips",
+    "multinomial_outcomes",
     "probabilities",
+    "sample_rows",
     "BitCache",
 ]
 
@@ -366,3 +373,60 @@ def probabilities(state: np.ndarray, clip_tol: float = 1e-6) -> np.ndarray:
     # Guard against drift from long gate sequences.
     np.divide(p, norm, out=p, where=norm > 0)
     return p
+
+
+def sample_rows(
+    rng: np.random.Generator,
+    probs: np.ndarray,
+    shots: int,
+    rows: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """One outcome integer per shot, spreading ``shots`` over trajectories.
+
+    Trajectory ``b`` samples from ``probs[rows[b]]`` (``probs[b]`` when
+    ``rows`` is None).  Every trajectory gets ``shots // B`` shots and
+    ``shots % B`` of them, drawn without replacement, get one more; then
+    one multinomial per trajectory, in trajectory order.  That draw
+    order is part of the engines' seed contract.
+    """
+    B = probs.shape[0] if rows is None else len(rows)
+    base, extra = divmod(shots, B)
+    per_row = np.full(B, base, dtype=int)
+    if extra:
+        lucky = rng.choice(B, size=extra, replace=False)
+        per_row[lucky] += 1
+    outs = [
+        multinomial_outcomes(
+            rng, probs[b if rows is None else rows[b]], per_row[b]
+        )
+        for b in range(B)
+        if per_row[b]
+    ]
+    return np.concatenate(outs) if outs else np.empty(0, dtype=int)
+
+
+def multinomial_outcomes(
+    rng: np.random.Generator, pv: np.ndarray, shots: int
+) -> np.ndarray:
+    """``shots`` outcome integers drawn from one probability row."""
+    # float32 states need an exact-sum float64 pvals vector.
+    pv = pv.astype(np.float64, copy=True)
+    pv /= pv.sum()
+    cnt = rng.multinomial(shots, pv)
+    nz = np.flatnonzero(cnt)
+    return np.repeat(nz, cnt[nz])
+
+
+def apply_readout_flips(
+    rng: np.random.Generator, outcomes: np.ndarray, readout: Sequence
+) -> np.ndarray:
+    """Flip measured bits per a ``((qubit, p01, p10), ...)`` readout table."""
+    if not readout or outcomes.size == 0:
+        return outcomes
+    out = outcomes.copy()
+    for q, p01, p10 in readout:
+        bit = (out >> q) & 1
+        flip_p = np.where(bit == 1, p10, p01)
+        flips = rng.random(out.size) < flip_p
+        out[flips] ^= 1 << q
+    return out

@@ -24,17 +24,16 @@ E10), and as a fast exact path for order-1-dominated sweeps.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Union
 
 import numpy as np
 
-from ..circuits.circuit import Instruction, QuantumCircuit
-from ..noise.channels import PauliError
+from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from ..runtime.health import NumericalHealthError, check_finite
 from .backend import resolve_complex_dtype
-from .ops import apply_instruction, apply_pauli_rows, probabilities, BitCache
-from .program import CompiledProgram
+from .ops import apply_pauli_rows, probabilities, BitCache
+from .program import CompiledProgram, as_program
 from .result import Distribution
 from .statevector import zero_state
 
@@ -52,29 +51,6 @@ def _healthy_distribution(
             f"{total_weight!r}"
         )
     return Distribution(accum / total_weight, n)
-
-
-class _ErrorSite:
-    """A Pauli channel instance at one circuit position."""
-
-    __slots__ = ("instr_index", "qubits", "paulis", "probs", "p_identity")
-
-    def __init__(
-        self,
-        instr_index: int,
-        qubits: Tuple[int, ...],
-        err: PauliError,
-    ) -> None:
-        self.instr_index = instr_index
-        self.qubits = qubits
-        nontrivial = [
-            (p, pr)
-            for p, pr in zip(err.paulis, err.probs)
-            if set(p) != {"I"} and pr > 0
-        ]
-        self.paulis = [p for p, _ in nontrivial]
-        self.probs = np.array([pr for _, pr in nontrivial], dtype=float)
-        self.p_identity = err.identity_prob
 
 
 class PerturbativeEngine:
@@ -97,78 +73,18 @@ class PerturbativeEngine:
 
     def distribution(
         self,
-        circuit: QuantumCircuit,
+        circuit: Union[QuantumCircuit, CompiledProgram],
         noise_model: Optional[NoiseModel] = None,
         initial_state: Optional[np.ndarray] = None,
     ) -> Distribution:
-        """The truncated-and-renormalised noisy outcome distribution."""
-        if isinstance(circuit, CompiledProgram):
-            return self._distribution_program(circuit, initial_state)
-        n = circuit.num_qubits
-        noise = noise_model or NoiseModel.ideal()
-        instrs = [
-            i for i in circuit if i.gate.name not in ("barrier", "measure")
-        ]
-        sites = self._collect_sites(instrs, noise)
+        """The truncated-and-renormalised noisy outcome distribution.
 
-        # Log-weight of the zero-error configuration.
-        log_w0 = 0.0
-        for s in sites:
-            if s.p_identity <= 0:
-                # An always-erring channel has no sparse regime.
-                raise ValueError(
-                    "perturbative engine requires identity probability > 0 "
-                    "at every error site"
-                )
-            log_w0 += math.log(s.p_identity)
-        w0 = math.exp(log_w0)
-
-        if initial_state is None:
-            base = zero_state(n, 1, self.dtype)
-        else:
-            base = np.asarray(initial_state, dtype=self.dtype).reshape(1, -1).copy()
-
-        accum = np.zeros(1 << n, dtype=float)
-        total_weight = 0.0
-
-        if self.max_order == 0:
-            final = base.copy()
-            for instr in instrs:
-                final = apply_instruction(final, instr, n)
-            accum += w0 * probabilities(final)[0]
-            total_weight += w0
-            return _healthy_distribution(accum, total_weight, n)
-
-        # Forward sweep: ``base`` holds the ideal state after prefix k.
-        # ``site_ptr`` walks sites in instruction order.
-        site_by_index: dict = {}
-        for s in sites:
-            site_by_index.setdefault(s.instr_index, []).append(s)
-
-        # Ideal (order-0) term needs the full evolution; compute along the
-        # sweep and add at the end.
-        for k, instr in enumerate(instrs):
-            base = apply_instruction(base, instr, n)
-            for site in site_by_index.get(k, ()):
-                accum_site, weight_site = self._order1_terms(
-                    base, site, instrs[k + 1 :], w0, n
-                )
-                accum += accum_site
-                total_weight += weight_site
-
-        accum += w0 * probabilities(base)[0]
-        total_weight += w0
-        return _healthy_distribution(accum, total_weight, n)
-
-    # ------------------------------------------------------------------
-    # Compiled-program path
-    # ------------------------------------------------------------------
-    def _distribution_program(
-        self,
-        program: CompiledProgram,
-        initial_state: Optional[np.ndarray],
-    ) -> Distribution:
-        """Forward sweep over compiled ops (fused suffix evolution)."""
+        A raw circuit is lowered with ``noise_model`` through the compile
+        cache; a :class:`~repro.sim.program.CompiledProgram` is used as
+        is (``noise_model`` is then ignored).  Readout errors are left
+        to the caller.
+        """
+        program = as_program(circuit, noise_model)
         n = program.num_qubits
         ops = program.ops
         log_w0 = 0.0
@@ -186,6 +102,7 @@ class PerturbativeEngine:
                 )
             p_id = op.error.identity_prob
             if p_id <= 0:
+                # An always-erring channel has no sparse regime.
                 raise ValueError(
                     "perturbative engine requires identity probability > 0 "
                     "at every error site"
@@ -201,10 +118,15 @@ class PerturbativeEngine:
                 .reshape(1, -1)
                 .copy()
             )
+            if base.shape[1] != (1 << n):
+                raise ValueError("initial state has wrong dimension")
 
         accum = np.zeros(1 << n, dtype=float)
         total_weight = 0.0
 
+        # Forward sweep: ``base`` holds the ideal state after each prefix;
+        # every weighted site evolves its Pauli variants through the
+        # remaining suffix as one batch.
         for i, op in enumerate(ops):
             if op.kind == "unitary":
                 op.apply(base, n)
@@ -224,6 +146,7 @@ class PerturbativeEngine:
                 if later.kind == "unitary":
                     later.apply(batch, n)
             probs = probabilities(batch)
+            # weight(config) = w0 * p_pi / p_identity at this site.
             weights = w0 * (op.cond * op.e) / op.error.identity_prob
             accum += weights @ probs
             total_weight += float(weights.sum())
@@ -231,55 +154,3 @@ class PerturbativeEngine:
         accum += w0 * probabilities(base)[0]
         total_weight += w0
         return _healthy_distribution(accum, total_weight, n)
-
-    # ------------------------------------------------------------------
-    def _order1_terms(
-        self,
-        prefix_state: np.ndarray,
-        site: _ErrorSite,
-        suffix: Sequence[Instruction],
-        w0: float,
-        n: int,
-    ) -> Tuple[np.ndarray, float]:
-        """All single-error configurations at ``site``, as one batch."""
-        m = len(site.paulis)
-        if m == 0:
-            return np.zeros(1 << n, dtype=float), 0.0
-        batch = np.repeat(prefix_state, m, axis=0)
-        for i, label in enumerate(site.paulis):
-            for pos, ch in enumerate(label):
-                if ch != "I":
-                    apply_pauli_rows(
-                        batch, ch, site.qubits[pos], np.array([i]), n, self._bits
-                    )
-        for instr in suffix:
-            batch = apply_instruction(batch, instr, n)
-        probs = probabilities(batch)
-        # weight(config) = w0 * p_pi / p_identity at this site.
-        weights = w0 * site.probs / site.p_identity
-        accum = weights @ probs
-        return accum, float(weights.sum())
-
-    # ------------------------------------------------------------------
-    def _collect_sites(
-        self, instrs: List[Instruction], noise: NoiseModel
-    ) -> List[_ErrorSite]:
-        sites: List[_ErrorSite] = []
-        for k, instr in enumerate(instrs):
-            for err in noise.gate_errors(instr):
-                if not isinstance(err, PauliError):
-                    raise ValueError(
-                        "perturbative engine supports Pauli errors only, "
-                        f"got {type(err).__name__}"
-                    )
-                if err.num_qubits == 1 and len(instr.qubits) > 1:
-                    for q in instr.qubits:
-                        sites.append(_ErrorSite(k, (q,), err))
-                elif err.num_qubits == len(instr.qubits):
-                    sites.append(_ErrorSite(k, instr.qubits, err))
-                else:
-                    raise ValueError(
-                        f"error arity {err.num_qubits} does not match gate "
-                        f"{instr.gate.name!r}"
-                    )
-        return sites

@@ -24,9 +24,9 @@ Compilation is cached at two levels so a rate-only sweep lowers each
 circuit exactly once:
 
 1. **lowering** — keyed by circuit identity (weakly) plus the noise
-   model's :meth:`~repro.noise.model.NoiseModel.structure_key` and the
-   ``optimize`` flag.  The skeleton fixes the op layout and the *slots*
-   of every noise site but not the channel contents.
+   model's :meth:`~repro.noise.model.NoiseModel.structure_key`.  The
+   skeleton fixes the op layout and the *slots* of every noise site but
+   not the channel contents.
 2. **bind** — keyed by the noise model's full
    :meth:`~repro.noise.model.NoiseModel.fingerprint`; resolves slots to
    channels and the per-qubit readout table.  Binding is cheap (no
@@ -789,7 +789,7 @@ class CompiledProgram:
         has no mid-circuit reset — the precondition for the trajectory
         engine's clean-shot split.
     fingerprint:
-        Short content hash of (circuit, noise, optimize) — stable across
+        Short content hash of (circuit, noise) — stable across
         processes, suitable for checkpoint payloads.
     """
 
@@ -803,7 +803,6 @@ class CompiledProgram:
         "fingerprint",
         "circuit_fingerprint",
         "noise_fingerprint",
-        "optimized",
     )
 
     __slots__ = _PICKLE_SLOTS + ("_stream", "_fusion_key")
@@ -816,7 +815,6 @@ class CompiledProgram:
         fingerprint: str,
         circuit_fp: str,
         noise_fp: str,
-        optimized: bool,
     ) -> None:
         self.num_qubits = num_qubits
         self.ops = ops
@@ -824,7 +822,6 @@ class CompiledProgram:
         self.fingerprint = fingerprint
         self.circuit_fingerprint = circuit_fp
         self.noise_fingerprint = noise_fp
-        self.optimized = optimized
         self.pauli_only = all(
             op.is_pauli for op in ops if op.kind == "noise"
         ) and not any(op.kind == "reset" for op in ops)
@@ -871,7 +868,6 @@ class CompiledProgram:
             key = (
                 "fuse",
                 self.circuit_fingerprint,
-                self.optimized,
                 self.num_qubits,
                 layout,
                 self.pauli_only,
@@ -978,17 +974,16 @@ class _NoiseSite:
 class _Skeleton:
     """Rate-independent lowering of one circuit: ops + noise slots."""
 
-    __slots__ = ("num_qubits", "items", "circuit_fp", "optimized", "_bound")
+    __slots__ = ("num_qubits", "items", "circuit_fp", "_bound")
 
     #: max bound programs retained per skeleton (per structure key the
     #: binds of a sweep's distinct rates; far below this in practice).
     BIND_CAP = 128
 
-    def __init__(self, num_qubits, items, circuit_fp, optimized) -> None:
+    def __init__(self, num_qubits, items, circuit_fp) -> None:
         self.num_qubits = num_qubits
         self.items = items  # tuple of ProgramOp | _NoiseSite
         self.circuit_fp = circuit_fp
-        self.optimized = optimized
         self._bound: Dict[str, CompiledProgram] = {}
 
 
@@ -1045,9 +1040,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
 _DENSE_MATMUL_MIN_QUBIT = 6  # inner stride 64: measured BLAS crossover
 
 
-def _lower(
-    circuit: QuantumCircuit, noise: NoiseModel, optimize: bool
-) -> _Skeleton:
+def _lower(circuit: QuantumCircuit, noise: NoiseModel) -> _Skeleton:
     """Lower a circuit against a noise *structure* (rates ignored)."""
     n = circuit.num_qubits
     items: List[object] = []
@@ -1080,14 +1073,11 @@ def _lower(
                 items.append(RawGateOp(instr))
             elif gate.is_unitary and is_diagonal_gate(gate):
                 pending.append(_term(instr))
-                if not optimize:
-                    flush()
             elif name in ("x", "cx", "swap", "ccx"):
                 flush()
                 items.append(PermutationOp(name, instr.qubits))
             elif (
-                optimize
-                and gate.num_qubits == 1
+                gate.num_qubits == 1
                 and gate.is_unitary
                 and instr.qubits[0] >= _DENSE_MATMUL_MIN_QUBIT
             ):
@@ -1115,7 +1105,7 @@ def _lower(
                         f"gate {name!r} on {len(instr.qubits)} qubits"
                     )
     flush()
-    return _Skeleton(n, tuple(items), circuit_fingerprint(circuit), optimize)
+    return _Skeleton(n, tuple(items), circuit_fingerprint(circuit))
 
 
 def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
@@ -1132,8 +1122,10 @@ def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
         if ro is not None:
             readout.append((q, ro.p01, ro.p10))
     noise_fp = noise.fingerprint()
+    # The trailing "|True" once recorded an optimisation flag; it stays
+    # so that every program fingerprint (and checkpoint key) is stable.
     fp = hashlib.sha256(
-        f"{skeleton.circuit_fp}|{noise_fp}|{skeleton.optimized}".encode()
+        f"{skeleton.circuit_fp}|{noise_fp}|True".encode()
     ).hexdigest()[:16]
     return CompiledProgram(
         skeleton.num_qubits,
@@ -1142,20 +1134,14 @@ def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
         fp,
         skeleton.circuit_fp,
         noise_fp,
-        skeleton.optimized,
     )
 
 
 def compile_circuit(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel] = None,
-    optimize: bool = True,
 ) -> CompiledProgram:
     """Lower ``circuit`` + ``noise_model`` into a :class:`CompiledProgram`.
-
-    ``optimize=False`` disables diagonal-run fusion and the dense-matmul
-    substitution, producing a program whose execution replays the
-    interpreter kernels bit-for-bit (used by the parity tests).
 
     Caching: the expensive lowering is shared by every model with the
     same :meth:`~repro.noise.model.NoiseModel.structure_key`; the cheap
@@ -1171,11 +1157,11 @@ def compile_circuit(
                 _LOWER_CACHE[circuit] = per_circuit
             except TypeError:
                 pass
-        key = (noise.structure_key(), bool(optimize))
+        key = noise.structure_key()
         skeleton = per_circuit.get(key)
         lower = "lower_hits" if skeleton is not None else "lowerings"
         if skeleton is None:
-            skeleton = _lower(circuit, noise, bool(optimize))
+            skeleton = _lower(circuit, noise)
             per_circuit[key] = skeleton
 
         noise_fp = noise.fingerprint()
@@ -1195,9 +1181,8 @@ def compile_circuit(
 def as_program(
     target: Union[QuantumCircuit, CompiledProgram],
     noise_model: Optional[NoiseModel] = None,
-    optimize: bool = True,
 ) -> CompiledProgram:
     """Internal shim: accept either a circuit or a precompiled program."""
     if isinstance(target, CompiledProgram):
         return target
-    return compile_circuit(target, noise_model, optimize=optimize)
+    return compile_circuit(target, noise_model)

@@ -20,21 +20,23 @@ every shot is an independent noise realisation (the exact setting).
 Fewer trajectories re-use each noise realisation for several shots — a
 controlled variance trade-off for speed, recorded in EXPERIMENTS.md.
 
-Clean-shot splitting (``split_clean``, default on for Pauli-only
-models) removes the worst of that trade-off.  The noisy ensemble
-decomposes exactly as
+Every run executes a :class:`~repro.sim.program.CompiledProgram`; a raw
+circuit is lowered once through the compile cache first.  Pauli-only
+noisy programs take the clean-shot split, which removes the worst of
+that trade-off.  The noisy ensemble decomposes exactly as
 
     P = P0 * P_ideal + (1 - P0) * P_erred,
 
 with ``P0 = prod(identity probs over all error sites)`` known in closed
 form.  The engine samples ``Binomial(shots, P0)`` error-free shots
 directly from the one ideal statevector, and devotes the whole
-trajectory batch to the *erred* component via sequential conditioned
-sampling (at each site, a still-clean trajectory fires with probability
-``e_s / (1 - prod_{u>=s}(1 - e_u))``, which forces at least one error
-by the last site).  In the paper's heavy-noise QFM regime — where
+trajectory batch to the *erred* component: each trajectory's first
+error site is drawn from its closed-form law, and errors fire
+independently after it.  In the paper's heavy-noise QFM regime — where
 success hinges on a handful of error-free shots — this makes a
 16-trajectory batch behave like an independent-shot simulation.
+Kraus channels, resets and noise-free programs with readout errors run
+through a plain walk over the program's ops instead.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.circuit import Instruction, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import (
     PauliError,
     QuantumError,
@@ -55,9 +57,10 @@ from .backend import resolve_complex_dtype
 from .ops import (
     BitCache,
     apply_gate_matrix,
-    apply_instruction,
     apply_pauli_rows,
+    apply_readout_flips,
     probabilities,
+    sample_rows,
 )
 from .program import CompiledProgram, as_program
 from .result import Counts
@@ -80,6 +83,11 @@ class TrajectoryEngine:
     dtype:
         State dtype; ``complex64`` halves memory at ~1e-7 amplitude
         error, which is far below sampling noise at paper shot counts.
+    dedup:
+        Route Pauli-only noisy programs through the batched scheduler
+        (:mod:`repro.sim.batch`), which simulates each distinct error
+        configuration once.  Exact, but a different random stream from
+        the forking split.
     """
 
     def __init__(
@@ -88,8 +96,6 @@ class TrajectoryEngine:
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         dtype=None,
-        split_clean: bool = True,
-        use_program: bool = True,
         dedup: bool = False,
     ) -> None:
         if trajectories < 1:
@@ -98,8 +104,6 @@ class TrajectoryEngine:
         # repro: allow[DET001] reason=public API convenience; result paths construct the runner with an explicit per-cell Generator
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.dtype = resolve_complex_dtype(dtype)
-        self.split_clean = bool(split_clean)
-        self.use_program = bool(use_program)
         self.dedup = bool(dedup)
         self._bits = BitCache()
 
@@ -113,90 +117,17 @@ class TrajectoryEngine:
     ) -> Counts:
         """Simulate and sample ``shots`` outcomes over all qubits.
 
-        ``circuit`` may be a raw :class:`QuantumCircuit` or a
-        :class:`~repro.sim.program.CompiledProgram`.  By default raw
-        circuits are lowered through the compile cache first
-        (``use_program=True``); pass ``use_program=False`` at
-        construction to force the legacy gate-by-gate interpreter.
+        ``circuit`` may be a raw :class:`QuantumCircuit`, lowered with
+        ``noise_model`` through the compile cache, or a
+        :class:`~repro.sim.program.CompiledProgram` (``noise_model`` is
+        then ignored).
         """
-        if isinstance(circuit, CompiledProgram):
-            return self._run_program(circuit, shots, initial_state)
-        if self.use_program:
-            program = as_program(circuit, noise_model)
-            return self._run_program(program, shots, initial_state)
-        n = circuit.num_qubits
-        noise = noise_model or NoiseModel.ideal()
-        if self.split_clean and not noise.is_ideal:
-            sites = self._pauli_site_table(circuit, noise)
-            if sites is not None:
-                return self._run_split(
-                    circuit, noise, shots, initial_state, sites, n
-                )
-        B = 1 if noise.is_ideal else min(self.trajectories, shots)
-        state = self._initial_batch(initial_state, B, n)
-
-        for instr in circuit:
-            name = instr.gate.name
-            if name in ("barrier", "measure"):
-                continue
-            if name == "reset":
-                state = self._reset_rows(
-                    state, instr.qubits[0], np.arange(B), n, to_one=False
-                )
-                continue
-            state = apply_instruction(state, instr, n)
-            for err in noise.gate_errors(instr):
-                state = self._apply_error(state, err, instr, n)
-
-        check_norms(
-            state, "trajectory engine", atol=norm_tolerance(self.dtype)
-        )
-        probs = probabilities(state)
-        outcomes = self._sample(probs, shots)
-        outcomes = self._apply_readout(outcomes, noise, n)
-        return Counts.from_outcome_list(outcomes, n)
-
-    # ------------------------------------------------------------------
-    # Compiled-program execution
-    # ------------------------------------------------------------------
-    def _run_program(
-        self,
-        program: CompiledProgram,
-        shots: int,
-        initial_state: Optional[np.ndarray],
-    ) -> Counts:
-        """Execute a compiled program (split or unconditional path)."""
+        program = as_program(circuit, noise_model)
         n = program.num_qubits
-        if (
-            self.dedup
-            and program.pauli_only
-            and program.num_noise_sites > 0
-        ):
-            # Route through the batched scheduler: same exact ensemble
-            # split, but identical error configurations are simulated
-            # once (see :mod:`repro.sim.batch`).  Note the scheduler has
-            # its own fixed RNG draw order, so dedup=True is a distinct
-            # (equally exact) stream from the forking split below.
-            from .batch import FusedTrajectoryScheduler, TrajectoryTask
-
-            task = TrajectoryTask(
-                key=0,
-                program=program,
-                shots=shots,
-                trajectories=self.trajectories,
-                rng=self.rng,
-                initial_state=initial_state,
-            )
-            sched = FusedTrajectoryScheduler(
-                fuse=False, dedup=True, dtype=self.dtype
-            )
-            return sched.run([task])[0].counts
-        if (
-            self.split_clean
-            and program.pauli_only
-            and program.num_noise_sites > 0
-        ):
-            return self._run_program_split(program, shots, initial_state, n)
+        if program.pauli_only and program.num_noise_sites > 0:
+            if self.dedup:
+                return self._run_scheduled(program, shots, initial_state)
+            return self._run_split(program, shots, initial_state, n)
         ideal = program.num_noise_sites == 0 and not program.readout
         B = 1 if ideal else min(self.trajectories, shots)
         state = self._initial_batch(initial_state, B, n)
@@ -214,28 +145,47 @@ class TrajectoryEngine:
         check_norms(
             state, "trajectory engine", atol=norm_tolerance(self.dtype)
         )
-        outcomes = self._sample(probabilities(state), shots)
-        outcomes = self._apply_readout_table(outcomes, program.readout)
+        outcomes = sample_rows(self.rng, probabilities(state), shots)
+        outcomes = apply_readout_flips(self.rng, outcomes, program.readout)
         return Counts.from_outcome_list(outcomes, n)
 
-    def _run_program_split(
+    def _run_scheduled(
+        self,
+        program: CompiledProgram,
+        shots: int,
+        initial_state: Optional[np.ndarray],
+    ) -> Counts:
+        """One task through the batched scheduler with dedup on."""
+        from .batch import FusedTrajectoryScheduler, TrajectoryTask
+
+        task = TrajectoryTask(
+            key=0,
+            program=program,
+            shots=shots,
+            trajectories=self.trajectories,
+            rng=self.rng,
+            initial_state=initial_state,
+        )
+        sched = FusedTrajectoryScheduler(fuse=False, dedup=True, dtype=self.dtype)
+        return sched.run([task])[0].counts
+
+    def _run_split(
         self,
         program: CompiledProgram,
         shots: int,
         initial_state: Optional[np.ndarray],
         n: int,
     ) -> Counts:
-        """Forking ideal/erred split over a compiled program.
+        """Forking ideal/erred split (see module docs).
 
-        Same exact ensemble decomposition as :meth:`_run_split`, but the
-        erred batch is *grown* instead of evolved in full: each row's
+        The erred batch is *grown* instead of evolved in full: each row's
         first-fire site is pre-sampled from its closed-form law
         ``P(first = s) ∝ prefix_clean[s] * e_s``, one shared clean row
         evolves through the program, and a row is forked off the clean
         row only when its first error fires (independent fires
-        afterwards, as in the sequential scheme).  Gates before a row's
-        first fire are therefore applied once instead of once per row —
-        roughly halving gate work at paper noise levels.
+        afterwards).  Gates before a row's first fire are therefore
+        applied once instead of once per row — roughly halving gate work
+        at paper noise levels.
         """
         sites = program.pauli_sites()
         es = np.array([op.e for _, op in sites])
@@ -260,62 +210,21 @@ class TrajectoryEngine:
             first = self.rng.choice(es.size, size=B, p=pfirst)
             counts_per_site = np.bincount(first, minlength=es.size)
 
-        if program.optimized:
-            self._walk_split_segments(program, buf, counts_per_site, n)
-        else:
-            self._walk_split_ops(program, buf, counts_per_site, n)
+        self._walk_split_segments(program, buf, counts_per_site, n)
 
         check_norms(
             buf, "trajectory engine (split)", atol=norm_tolerance(self.dtype)
         )
         pieces = []
         if n_clean:
-            pieces.append(self._sample(probabilities(buf[:1]), n_clean))
+            pieces.append(sample_rows(self.rng, probabilities(buf[:1]), n_clean))
         if n_err:
-            pieces.append(self._sample(probabilities(buf[1:]), n_err))
+            pieces.append(sample_rows(self.rng, probabilities(buf[1:]), n_err))
         outcomes = (
             np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
         )
-        outcomes = self._apply_readout_table(outcomes, program.readout)
+        outcomes = apply_readout_flips(self.rng, outcomes, program.readout)
         return Counts.from_outcome_list(outcomes, n)
-
-    def _walk_split_ops(
-        self,
-        program: CompiledProgram,
-        buf: np.ndarray,
-        counts_per_site: np.ndarray,
-        n: int,
-    ) -> int:
-        """Op-by-op forking walk (reference path, bitwise-stable)."""
-        k = 0  # forked (live erred) rows so far
-        s = 0  # pauli-site counter
-        for op in program.ops:
-            kind = op.kind
-            if kind == "unitary":
-                op.apply(buf[: 1 + k], n)
-                continue
-            if kind == "reset":
-                self._reset_rows(
-                    buf, op.qubit, np.arange(1 + k), n, to_one=False
-                )
-                continue
-            if kind != "noise" or not op.e:
-                continue
-            # Previously forked rows fire independently.
-            if k:
-                fire = self.rng.random(k) < op.e
-                rows = np.flatnonzero(fire) + 1
-                if rows.size:
-                    self._scatter_paulis(buf, op, rows, n)
-            # Fork the rows whose first fire is this site.
-            m = counts_per_site[s]
-            if m:
-                new_rows = np.arange(1 + k, 1 + k + m)
-                buf[new_rows] = buf[0]
-                self._scatter_paulis(buf, op, new_rows, n)
-                k += m
-            s += 1
-        return k
 
     def _walk_split_segments(
         self,
@@ -323,13 +232,15 @@ class TrajectoryEngine:
         buf: np.ndarray,
         counts_per_site: np.ndarray,
         n: int,
-    ) -> int:
-        """Segment-fused forking walk over optimized programs.
+    ) -> None:
+        """Segment-fused forking walk.
 
-        Same fork/fire law as :meth:`_walk_split_ops`, but organised
-        around *events*: per segment every site's fire/fork draws happen
-        up front (one uniform batch per site, in site order, so the
-        stream consumption is deterministic), which pins down the small
+        Rows that have already erred fire independently at every later
+        site; the rows whose first fire is a site fork off the clean row
+        there.  The walk is organised around *events*: per segment every
+        site's fire/fork draws happen up front (one uniform batch per
+        site, in site order, so the stream consumption is deterministic),
+        which pins down the small
         set of **active** rows — rows that fire here, rows forked here,
         and row 0 while forking continues.  Only active rows are walked
         chunk-by-chunk between their event sites (cheap per-row
@@ -346,18 +257,9 @@ class TrajectoryEngine:
         k = 0
         for tag, item in program.exec_stream():
             if tag == "op":
-                op = item
-                if op.kind == "unitary":
-                    op.apply(buf[: 1 + k], n)
-                elif op.kind == "reset":
-                    self._reset_rows(
-                        buf, op.qubit, np.arange(1 + k), n, to_one=False
-                    )
-                elif op.kind == "noise":
-                    sl = buf[: 1 + k]
-                    sub = self._apply_error_on(sl, op.error, op.qubits, n)
-                    if sub is not sl:
-                        sl[...] = sub
+                # A Pauli-only program has no resets or Kraus sites, so
+                # every boundary op is a unitary gate.
+                item.apply(buf[: 1 + k], n)
                 continue
             seg = item
             live = 1 + k
@@ -429,7 +331,6 @@ class TrajectoryEngine:
                     _mono_apply_rows(
                         buf, idle, seg.full(n, buf.dtype), row_scratch
                     )
-        return k
 
     def _scatter_paulis(
         self, state: np.ndarray, op, rows: np.ndarray, n: int
@@ -445,24 +346,8 @@ class TrajectoryEngine:
                         state, ch, op.qubits[pos], sub, n, self._bits
                     )
 
-    def _apply_readout_table(
-        self,
-        outcomes: np.ndarray,
-        readout: Sequence,
-    ) -> np.ndarray:
-        """Flip measured bits per the program's resolved readout table."""
-        if not readout or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q, p01, p10 in readout:
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, p10, p01)
-            flips = self.rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out
-
     # ------------------------------------------------------------------
-    # Clean-shot splitting
+    # State helpers
     # ------------------------------------------------------------------
     def _initial_batch(
         self, initial_state: Optional[np.ndarray], B: int, n: int
@@ -474,160 +359,9 @@ class TrajectoryEngine:
             raise ValueError("initial state has wrong dimension")
         return np.repeat(vec, B, axis=0)
 
-    def _pauli_site_table(self, circuit: QuantumCircuit, noise: NoiseModel):
-        """Per-instruction Pauli error sites, or None if non-Pauli noise.
-
-        Each site is ``(qubits, labels, cond_probs, e)`` where ``labels``
-        are the channel's non-identity Pauli strings, ``cond_probs``
-        their probabilities conditioned on a non-identity draw, and
-        ``e`` the site's total non-identity probability.  Sites with
-        ``e == 0`` are dropped.
-        """
-        table = []
-        for instr in circuit:
-            entries = []
-            for err in noise.gate_errors(instr):
-                if not isinstance(err, PauliError):
-                    return None
-                if err.num_qubits == 1 and len(instr.qubits) > 1:
-                    applications = [(q,) for q in instr.qubits]
-                elif err.num_qubits == len(instr.qubits):
-                    applications = [instr.qubits]
-                else:
-                    raise ValueError(
-                        f"error arity {err.num_qubits} does not match "
-                        f"gate {instr.gate.name!r}"
-                    )
-                nontrivial = [
-                    (p, pr)
-                    for p, pr in zip(err.paulis, err.probs)
-                    if set(p) != {"I"} and pr > 0
-                ]
-                e = float(sum(pr for _, pr in nontrivial))
-                if e <= 0:
-                    continue
-                labels = [p for p, _ in nontrivial]
-                cond = np.array([pr for _, pr in nontrivial]) / e
-                for qubits in applications:
-                    entries.append((tuple(qubits), labels, cond, e))
-            table.append(entries)
-        return table
-
-    def _run_split(
-        self,
-        circuit: QuantumCircuit,
-        noise: NoiseModel,
-        shots: int,
-        initial_state: Optional[np.ndarray],
-        site_table,
-        n: int,
-    ) -> Counts:
-        """Exact ideal/erred ensemble split (see module docs)."""
-        es = np.array(
-            [site[3] for entries in site_table for site in entries]
-        )
-        # suffix_clean[s] = prod_{u >= s} (1 - e_u); R[s] = P(>=1 fire
-        # among sites s..end).
-        one_minus = 1.0 - es
-        suffix_clean = np.ones(es.size + 1)
-        suffix_clean[:-1] = np.cumprod(one_minus[::-1])[::-1]
-        p0 = float(suffix_clean[0]) if es.size else 1.0
-        r_tail = 1.0 - suffix_clean[:-1]
-
-        n_clean = int(self.rng.binomial(shots, p0)) if p0 > 0 else 0
-        n_err = shots - n_clean
-        pieces = []
-
-        if n_clean:
-            ideal = self._initial_batch(initial_state, 1, n)
-            for instr in circuit:
-                if instr.gate.name in ("barrier", "measure"):
-                    continue
-                if instr.gate.name == "reset":
-                    ideal = self._reset_rows(
-                        ideal, instr.qubits[0], np.arange(1), n, to_one=False
-                    )
-                    continue
-                ideal = apply_instruction(ideal, instr, n)
-            check_norms(
-                ideal,
-                "trajectory engine (clean split)",
-                atol=norm_tolerance(self.dtype),
-            )
-            pieces.append(self._sample(probabilities(ideal), n_clean))
-
-        if n_err:
-            B = min(self.trajectories, n_err)
-            state = self._initial_batch(initial_state, B, n)
-            has_error = np.zeros(B, dtype=bool)
-            s = 0
-            for instr, entries in zip(circuit, site_table):
-                name = instr.gate.name
-                if name in ("barrier", "measure"):
-                    continue
-                if name == "reset":
-                    state = self._reset_rows(
-                        state, instr.qubits[0], np.arange(B), n, to_one=False
-                    )
-                    continue
-                state = apply_instruction(state, instr, n)
-                for qubits, labels, cond, e in entries:
-                    r = r_tail[s]
-                    # Conditional fire probability for still-clean rows;
-                    # the final site forces a fire (p -> 1).
-                    p_clean = min(1.0, e / r) if r > 0 else 1.0
-                    fire_p = np.where(has_error, e, p_clean)
-                    fire = self.rng.random(B) < fire_p
-                    rows = np.flatnonzero(fire)
-                    if rows.size:
-                        draws = self.rng.choice(
-                            len(labels), size=rows.size, p=cond
-                        )
-                        for idx in np.unique(draws):
-                            label = labels[idx]
-                            sub = rows[draws == idx]
-                            for pos, ch in enumerate(label):
-                                if ch != "I":
-                                    apply_pauli_rows(
-                                        state, ch, qubits[pos], sub, n,
-                                        self._bits,
-                                    )
-                        has_error[rows] = True
-                    s += 1
-            check_norms(
-                state,
-                "trajectory engine (erred split)",
-                atol=norm_tolerance(self.dtype),
-            )
-            pieces.append(self._sample(probabilities(state), n_err))
-
-        outcomes = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
-        )
-        outcomes = self._apply_readout(outcomes, noise, n)
-        return Counts.from_outcome_list(outcomes, n)
-
     # ------------------------------------------------------------------
     # Error application
     # ------------------------------------------------------------------
-    def _apply_error(
-        self,
-        state: np.ndarray,
-        err: QuantumError,
-        instr: Instruction,
-        n: int,
-    ) -> np.ndarray:
-        if err.num_qubits == 1 and len(instr.qubits) > 1:
-            for q in instr.qubits:
-                state = self._apply_error_on(state, err, (q,), n)
-            return state
-        if err.num_qubits != len(instr.qubits):
-            raise ValueError(
-                f"error arity {err.num_qubits} does not match gate "
-                f"{instr.gate.name!r} on {len(instr.qubits)} qubits"
-            )
-        return self._apply_error_on(state, err, instr.qubits, n)
-
     def _apply_error_on(
         self,
         state: np.ndarray,
@@ -734,44 +468,3 @@ class TrajectoryEngine:
         new /= nrm[:, None]
         state[rows] = new
         return state
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def _sample(self, probs: np.ndarray, shots: int) -> np.ndarray:
-        """One outcome integer per shot, spreading shots over rows."""
-        B = probs.shape[0]
-        base, extra = divmod(shots, B)
-        per_row = np.full(B, base, dtype=int)
-        if extra:
-            lucky = self.rng.choice(B, size=extra, replace=False)
-            per_row[lucky] += 1
-        outs: List[np.ndarray] = []
-        dim = probs.shape[1]
-        for b in range(B):
-            if per_row[b] == 0:
-                continue
-            # float32 states need an exact-sum float64 pvals vector.
-            pv = probs[b].astype(np.float64, copy=True)
-            pv /= pv.sum()
-            cnt = self.rng.multinomial(per_row[b], pv)
-            nz = np.flatnonzero(cnt)
-            outs.append(np.repeat(nz, cnt[nz]))
-        return np.concatenate(outs) if outs else np.empty(0, dtype=int)
-
-    def _apply_readout(
-        self, outcomes: np.ndarray, noise: NoiseModel, n: int
-    ) -> np.ndarray:
-        """Flip measured bits per the model's readout errors."""
-        if noise.is_ideal or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q in range(n):
-            ro = noise.readout_error(q)
-            if ro is None:
-                continue
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, ro.p10, ro.p01)
-            flips = self.rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out

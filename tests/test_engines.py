@@ -23,6 +23,7 @@ from repro.sim import (
     simulate_counts,
     simulate_distribution,
 )
+from repro.sim.ptm import PTMEngine
 from repro.sim.statevector import Statevector, zero_state
 
 
@@ -278,3 +279,31 @@ class TestDispatch:
         d_exact = simulate_distribution(qc, noise, method="density")
         d_pert = simulate_distribution(qc, noise, method="perturbative")
         assert hellinger_fidelity(d_exact, d_pert) > 0.999
+
+
+_NOISE = NoiseModel.depolarizing(p1q=0.01, p2q=0.02)
+
+_ENGINE_CALLS = {
+    "statevector": lambda qc, init: StatevectorEngine().distribution(
+        qc, init
+    ),
+    "density": lambda qc, init: DensityMatrixEngine().distribution(
+        qc, _NOISE, init
+    ),
+    "ptm": lambda qc, init: PTMEngine().distribution(qc, _NOISE, init),
+    "trajectory": lambda qc, init: TrajectoryEngine(4, seed=0).run(
+        qc, _NOISE, 16, init
+    ),
+    "perturbative": lambda qc, init: PerturbativeEngine().distribution(
+        qc, _NOISE, init
+    ),
+}
+
+
+@pytest.mark.parametrize("length", [2 ** 2 * 2, 1])
+@pytest.mark.parametrize("engine", sorted(_ENGINE_CALLS))
+def test_wrong_initial_state_length_rejected(engine, length):
+    init = np.zeros(length, dtype=complex)
+    init[0] = 1.0
+    with pytest.raises(ValueError, match="initial state"):
+        _ENGINE_CALLS[engine](bell(), init)

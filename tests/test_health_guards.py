@@ -116,7 +116,7 @@ class TestEngineGuards:
 
     def test_trajectory_split_path_rejects_nan(self):
         noise = NoiseModel.depolarizing(p2q=0.01)
-        eng = TrajectoryEngine(trajectories=4, seed=1, split_clean=True)
+        eng = TrajectoryEngine(trajectories=4, seed=1)
         with pytest.raises(NumericalHealthError):
             eng.run(_bell_circuit(), noise, shots=16, initial_state=_nan_state())
 

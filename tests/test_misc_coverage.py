@@ -76,7 +76,7 @@ class TestTwoQubitKrausTrajectories:
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1).h(0)
         exact = DensityMatrixEngine().distribution(qc, noise)
-        eng = TrajectoryEngine(trajectories=4000, seed=8, split_clean=True)
+        eng = TrajectoryEngine(trajectories=4000, seed=8)
         counts = eng.run(qc, noise, shots=4000)
         # Kraus noise disables splitting; plain trajectories still exact.
         assert total_variation_distance(exact, counts) < 0.05

@@ -7,7 +7,7 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.metrics import total_variation_distance
 from repro.noise import NoiseModel, PauliError, depolarizing_error
-from repro.sim import DensityMatrixEngine, PerturbativeEngine
+from repro.sim import DensityMatrixEngine, PerturbativeEngine, compile_circuit
 
 
 def ghz(n):
@@ -19,19 +19,20 @@ def ghz(n):
 
 
 class TestSiteExpansion:
+    """The perturbative engine sweeps the lowering's weighted noise
+    sites, so its site expansion is the program's ``pauli_sites()``."""
+
     def test_2q_error_sites(self):
         noise = NoiseModel.depolarizing(p2q=0.01)
-        eng = PerturbativeEngine()
-        sites = eng._collect_sites(list(ghz(3)), noise)
+        sites = [op for _, op in compile_circuit(ghz(3), noise).pauli_sites()]
         # Two cx gates -> two 2-qubit sites with 15 Paulis each.
         assert len(sites) == 2
-        assert all(len(s.paulis) == 15 for s in sites)
+        assert all(len(s.labels) == 15 for s in sites)
 
     def test_1q_error_on_2q_gate_expands(self):
         err = depolarizing_error(0.01, 1)
         noise = NoiseModel().add_all_qubit_quantum_error(err, ["cx"])
-        eng = PerturbativeEngine()
-        sites = eng._collect_sites(list(ghz(3)), noise)
+        sites = [op for _, op in compile_circuit(ghz(3), noise).pauli_sites()]
         # Each cx contributes two 1q sites.
         assert len(sites) == 4
         assert all(len(s.qubits) == 1 for s in sites)

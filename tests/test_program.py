@@ -1,8 +1,7 @@
 """Tests for the compiled execution IR (repro.sim.program).
 
 Covers the lowering taxonomy (diagonal fusion, permutations, noise and
-measure sites), program<->circuit equivalence on random circuits (bit
-for bit for the unoptimized replay, numerically for the fused form),
+measure sites), program<->circuit equivalence on random circuits,
 the decompile round-trip checked with the symbolic equivalence engine,
 the two-level compile cache, bitwise parity of the cached monomial
 pieces with a plain left fold, pickling for worker shipping, and the
@@ -96,6 +95,44 @@ def _random_circuit(seed: int, n: int, depth: int = 12) -> QuantumCircuit:
     return qc
 
 
+def _order1_mixture(qc, noise, init) -> np.ndarray:
+    """Order-1 truncated mixture by brute force, without the lowering.
+
+    One statevector interpreter run per (error site, non-identity
+    Pauli), with that Pauli inserted after the site's gate, weighted
+    ``w0 * p / p_identity``; plus the error-free run at weight ``w0``.
+    """
+    instrs = list(qc)
+    sites = []
+    for k, instr in enumerate(instrs):
+        for err in noise.gate_errors(instr):
+            if err.num_qubits == 1 and len(instr.qubits) > 1:
+                sites += [(k, (q,), err) for q in instr.qubits]
+            else:
+                sites.append((k, instr.qubits, err))
+    w0 = math.prod(err.identity_prob for _, _, err in sites)
+
+    def run(at=None, qubits=(), label=""):
+        circ = QuantumCircuit(qc.num_qubits, qc.num_clbits)
+        for k, instr in enumerate(instrs):
+            circ.append(instr.gate, instr.qubits, instr.clbits)
+            if k == at:
+                for q, ch in zip(qubits, label):
+                    if ch != "I":
+                        circ.append(G.make_gate(ch.lower()), [q])
+        return StatevectorEngine().distribution(circ, init).probs
+
+    accum, total = w0 * run(), w0
+    for k, qubits, err in sites:
+        for label, p in zip(err.paulis, err.probs):
+            if set(label) == {"I"} or p == 0:
+                continue
+            w = w0 * p / err.identity_prob
+            accum = accum + w * run(k, qubits, label)
+            total += w
+    return accum / total
+
+
 def bell() -> QuantumCircuit:
     qc = QuantumCircuit(2)
     qc.h(0)
@@ -118,14 +155,6 @@ class TestLowering:
         diags = [op for op in prog.ops if isinstance(op, DiagonalOp)]
         assert len(diags) == 1
         assert len(diags[0].terms) == 3
-
-    def test_no_fusion_without_optimize(self):
-        qc = QuantumCircuit(2)
-        qc.rz(0.3, 0)
-        qc.rz(0.1, 1)
-        prog = compile_circuit(qc, optimize=False)
-        diags = [op for op in prog.ops if isinstance(op, DiagonalOp)]
-        assert [len(d.terms) for d in diags] == [1, 1]
 
     def test_permutation_and_measure_ops(self):
         qc = QuantumCircuit(3, 3)
@@ -191,15 +220,6 @@ class TestLowering:
 class TestEquivalence:
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 5))
-    def test_unoptimized_replay_is_bit_for_bit(self, seed, n):
-        qc = _random_circuit(seed, n)
-        ref = StatevectorEngine().run(qc).data
-        prog = compile_circuit(qc, optimize=False)
-        got = StatevectorEngine().run(prog).data
-        assert np.array_equal(ref, got)
-
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 5))
     def test_optimized_program_matches_interpreter(self, seed, n):
         qc = _random_circuit(seed, n)
         ref = StatevectorEngine().run(qc).data
@@ -241,11 +261,21 @@ class TestEquivalence:
         np.testing.assert_allclose(got.probs, ref.probs, atol=1e-12)
 
     def test_perturbative_engine_program_path(self):
+        """The order-1 sweep over program ops against a mixture built
+        from the raw circuit with the statevector interpreter."""
         qc = transpile(qfa_circuit(2, 2))
-        noise = NoiseModel.depolarizing(p1q=0.002, p2q=0.01)
-        ref = PerturbativeEngine().distribution(qc, noise)
-        got = PerturbativeEngine().distribution(compile_circuit(qc, noise))
-        np.testing.assert_allclose(got.probs, ref.probs, atol=1e-12)
+        dim = 1 << qc.num_qubits
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        for axis, rate in (("1q", 0.01), ("2q", 0.02)):
+            noise = noise_model_for(axis, rate)
+            for init in (None, psi):
+                ref = _order1_mixture(qc, noise, init)
+                got = PerturbativeEngine().distribution(
+                    compile_circuit(qc, noise), initial_state=init
+                )
+                np.testing.assert_allclose(got.probs, ref, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.01, 0.1])
     def test_trajectory_program_matches_exact_distribution(self, p):
@@ -260,20 +290,9 @@ class TestEquivalence:
         qc = transpile(qfa_circuit(2, 2))
         noise = noise_model_for("2q", 0.05)
         exact = DensityMatrixEngine().distribution(qc, noise)
-        eng = TrajectoryEngine(trajectories=6000, seed=7, split_clean=True)
+        eng = TrajectoryEngine(trajectories=6000, seed=7)
         counts = eng.run(compile_circuit(qc, noise), shots=6000)
         assert total_variation_distance(exact, counts) < 0.05
-
-    def test_trajectory_program_and_interpreter_agree(self):
-        qc = transpile(qfa_circuit(2, 2))
-        noise = noise_model_for("1q", 0.02)
-        a = TrajectoryEngine(4000, seed=3, use_program=True).run(
-            qc, noise, shots=4000
-        )
-        b = TrajectoryEngine(4000, seed=3, use_program=False).run(
-            qc, noise, shots=4000
-        )
-        assert total_variation_distance(a, b) < 0.05
 
     def test_trajectory_program_readout_table(self):
         from repro.noise.channels import ReadoutError

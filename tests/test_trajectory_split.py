@@ -11,7 +11,7 @@ from repro.noise import (
     amplitude_damping_error,
     depolarizing_error,
 )
-from repro.sim import DensityMatrixEngine, TrajectoryEngine
+from repro.sim import DensityMatrixEngine, TrajectoryEngine, compile_circuit
 
 
 def bell():
@@ -21,42 +21,42 @@ def bell():
 
 
 class TestSiteTable:
+    """The split's Pauli site table is the lowering's ``pauli_sites()``."""
+
     def test_pauli_model_yields_table(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel.depolarizing(
             p1q=0.01, p2q=0.02, gates_1q=("h",)
         )
-        table = eng._pauli_site_table(bell(), noise)
-        assert table is not None
+        prog = compile_circuit(bell(), noise)
+        assert prog.pauli_only
+        sites = [op for _, op in prog.pauli_sites()]
         # h gets one 1q site; cx gets one 2q site.
-        assert len(table) == 2
-        assert len(table[0]) == 1 and len(table[1]) == 1
-        qubits, labels, cond, e = table[1][0]
-        assert qubits == (0, 1)
-        assert len(labels) == 15
-        assert cond.sum() == pytest.approx(1.0)
+        assert [op.qubits for op in sites] == [(0,), (0, 1)]
+        assert len(sites[1].labels) == 15
+        assert sites[1].cond.sum() == pytest.approx(1.0)
+        assert sites[1].e == pytest.approx(0.02 * 15 / 16)
 
     def test_kraus_model_disables_split(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel().add_all_qubit_quantum_error(
             amplitude_damping_error(0.1), ["h"]
         )
-        assert eng._pauli_site_table(bell(), noise) is None
+        assert not compile_circuit(bell(), noise).pauli_only
 
     def test_1q_error_on_2q_gate_expands_to_two_sites(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel().add_all_qubit_quantum_error(
             depolarizing_error(0.01, 1), ["cx"]
         )
-        table = eng._pauli_site_table(bell(), noise)
-        assert len(table[1]) == 2
+        sites = compile_circuit(bell(), noise).pauli_sites()
+        assert [op.qubits for _, op in sites] == [(0,), (1,)]
+        assert all(len(op.labels) == 3 for _, op in sites)
 
     def test_zero_rate_sites_dropped(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         err = PauliError(["I"], [1.0])
         noise = NoiseModel().add_all_qubit_quantum_error(err, ["h", "cx"])
-        table = eng._pauli_site_table(bell(), noise)
-        assert all(len(entries) == 0 for entries in table)
+        prog = compile_circuit(bell(), noise)
+        # h carries one site and cx two; none has weight.
+        assert prog.num_noise_sites == 3
+        assert prog.pauli_sites() == []
 
 
 class TestSplitCorrectness:
@@ -65,20 +65,9 @@ class TestSplitCorrectness:
         qc = bell()
         noise = NoiseModel.depolarizing(p1q=p, p2q=p)
         exact = DensityMatrixEngine().distribution(qc, noise)
-        eng = TrajectoryEngine(trajectories=8000, seed=2, split_clean=True)
+        eng = TrajectoryEngine(trajectories=8000, seed=2)
         counts = eng.run(qc, noise, shots=8000)
         assert total_variation_distance(exact, counts) < 0.04
-
-    def test_split_and_plain_agree_statistically(self):
-        qc = bell()
-        noise = NoiseModel.depolarizing(p1q=0.05, p2q=0.05)
-        a = TrajectoryEngine(4000, seed=3, split_clean=True).run(
-            qc, noise, shots=4000
-        )
-        b = TrajectoryEngine(4000, seed=3, split_clean=False).run(
-            qc, noise, shots=4000
-        )
-        assert total_variation_distance(a, b) < 0.05
 
     def test_clean_fraction_matches_p0(self):
         """With a pure bit-flip channel the clean fraction is directly
@@ -89,7 +78,7 @@ class TestSplitCorrectness:
         noise = NoiseModel().add_all_qubit_quantum_error(
             PauliError(["I", "X"], [1 - p, p]), ["x"]
         )
-        eng = TrajectoryEngine(trajectories=10_000, seed=4, split_clean=True)
+        eng = TrajectoryEngine(trajectories=10_000, seed=4)
         counts = eng.run(qc, noise, shots=10_000)
         assert counts[1] / 10_000 == pytest.approx(1 - p, abs=0.02)
 
@@ -101,7 +90,7 @@ class TestSplitCorrectness:
         noise = NoiseModel().add_all_qubit_quantum_error(
             PauliError(["I", "X"], [0.5, 0.5]), ["x"]
         )
-        eng = TrajectoryEngine(trajectories=64, seed=5, split_clean=True)
+        eng = TrajectoryEngine(trajectories=64, seed=5)
         counts = eng.run(qc, noise, shots=2000)
         # Outcomes: clean -> 1, erred -> 0; both present, ratio ~ 1:1.
         assert set(counts) == {0, 1}
@@ -114,7 +103,7 @@ class TestSplitCorrectness:
             PauliError(["I", "X"], [0.9, 0.1]), ["x"]
         )
         noise.add_readout_error(ReadoutError(0.0, 1.0))  # always misread 1
-        eng = TrajectoryEngine(trajectories=32, seed=6, split_clean=True)
+        eng = TrajectoryEngine(trajectories=32, seed=6)
         counts = eng.run(qc, noise, shots=500)
         # True outcome 1 (clean, 90%) always flips to 0.
         assert counts[0] > 400
@@ -128,7 +117,7 @@ class TestSplitCorrectness:
         qc.h(0)
         noise = NoiseModel.depolarizing(p2q=0.02)
         # P0 = (1 - 0.02*15/16)**200 ~ 2.2% -> ~45 clean shots of 2048.
-        eng = TrajectoryEngine(trajectories=8, seed=7, split_clean=True)
+        eng = TrajectoryEngine(trajectories=8, seed=7)
         counts = eng.run(qc, noise, shots=2048)
         assert counts.shots == 2048
 
@@ -137,9 +126,3 @@ class TestSplitCorrectness:
         a = TrajectoryEngine(16, seed=42).run(bell(), noise, 512)
         b = TrajectoryEngine(16, seed=42).run(bell(), noise, 512)
         assert a == b
-
-    def test_split_off_still_works(self):
-        noise = NoiseModel.depolarizing(p1q=0.02)
-        eng = TrajectoryEngine(16, seed=1, split_clean=False)
-        counts = eng.run(bell(), noise, shots=256)
-        assert counts.shots == 256
