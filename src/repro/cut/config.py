@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 __all__ = ["CutConfig", "DEFAULT_MAX_FRAGMENT_QUBITS"]
 
-#: Default fragment-width budget: matches the auto-dispatch density cap,
+#: Default fragment-width budget: matches the auto-dispatch exact cap,
 #: so every fragment stays in exact-engine territory.
 DEFAULT_MAX_FRAGMENT_QUBITS = 10
 

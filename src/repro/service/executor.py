@@ -33,7 +33,7 @@ from ..runtime import sanitizer
 from ..runtime.envutil import env_flag
 from ..runtime.supervisor import RetryPolicy
 from ..sim.batch import TrajectoryTask, run_request_tasks
-from ..sim.engines import DENSITY_MAX_QUBITS, simulate_counts
+from ..sim.engines import EXACT_MAX_QUBITS, simulate_counts
 from .model import RequestValidationError, SimRequest
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
@@ -198,7 +198,7 @@ def fusion_eligible(request: SimRequest) -> bool:
 
     Cheap, request-shape-only screen used at admission: noisy
     trajectory work (explicit, or what ``method="auto"`` will resolve
-    to once the width rules out density simulation).  The batch
+    to once the width rules out exact PTM simulation).  The batch
     executor re-checks against the *compiled program* (Pauli-only
     sites, resolved method) and falls back to the per-request path for
     any survivor that turns out not to fit — eligibility here may
@@ -210,7 +210,7 @@ def fusion_eligible(request: SimRequest) -> bool:
         return True
     return (
         request.method == "auto"
-        and request.total_qubits > DENSITY_MAX_QUBITS
+        and request.total_qubits > EXACT_MAX_QUBITS
     )
 
 
@@ -238,7 +238,7 @@ def _fused_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
     )
     if not program.pauli_only or program.num_noise_sites == 0:
         return None
-    if request.method == "auto" and program.num_qubits <= DENSITY_MAX_QUBITS:
+    if request.method == "auto" and program.num_qubits <= EXACT_MAX_QUBITS:
         return None
     return TrajectoryTask(
         key=request.content_key(),

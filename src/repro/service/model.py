@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..runtime.envutil import env_int
 from ..runtime.errors import width_limit_error
-from ..sim.methods import METHODS
+from ..sim.methods import METHODS, dense_width_cap
 from ..sim.result import Counts
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
@@ -51,18 +51,6 @@ _ERROR_AXES = ("1q", "2q")
 _METHODS = METHODS
 _CONVENTIONS = ("qiskit", "pauli")
 
-
-def _dense_method_cap(method: str) -> Optional[int]:
-    """Qubit cap of an explicitly requested dense engine (else None)."""
-    if method == "density":
-        from ..sim.density import DensityMatrixEngine
-
-        return DensityMatrixEngine.max_qubits
-    if method == "ptm":
-        from ..sim.ptm import PTMEngine
-
-        return PTMEngine.max_qubits
-    return None
 
 MAX_SHOTS = 1_000_000
 MAX_TRAJECTORIES = 65_536
@@ -223,7 +211,7 @@ class SimRequest:
             # Dense-engine admission: reject at the door, with the same
             # actionable message the engine itself would raise, instead
             # of queueing a request that can only fail (or OOM) later.
-            cap = _dense_method_cap(self.method)
+            cap = dense_width_cap(self.method)
             if cap is not None and self.total_qubits > cap:
                 errors.append(
                     str(width_limit_error(

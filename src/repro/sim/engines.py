@@ -1,8 +1,8 @@
 """Engine dispatch: pick the right simulator for a (circuit, noise) pair.
 
 ``method="auto"`` implements the strategy documented in DESIGN.md:
-ideal -> statevector; small noisy -> exact density matrix; large noisy ->
-batched trajectories.  ``simulate_counts`` is the single entry point the
+ideal -> statevector; small noisy -> exact PTM; large noisy -> batched
+trajectories.  ``simulate_counts`` is the single entry point the
 experiment harness uses.
 """
 
@@ -25,8 +25,8 @@ from .trajectories import TrajectoryEngine
 
 __all__ = ["simulate_counts", "simulate_distribution", "choose_method"]
 
-#: Largest register handled by the exact density-matrix engine in auto mode.
-DENSITY_MAX_QUBITS = 10
+#: Largest noisy register auto mode sends to an exact engine (PTM).
+EXACT_MAX_QUBITS = 10
 
 Simulatable = Union[QuantumCircuit, CompiledProgram]
 
@@ -42,15 +42,17 @@ def _is_ideal(
 def choose_method(
     circuit: Simulatable, noise_model: Optional[NoiseModel] = None
 ) -> str:
-    """The auto-dispatch rule: statevector / density / trajectory.
+    """The auto-dispatch rule: statevector / ptm / trajectory.
 
-    For a :class:`~repro.sim.program.CompiledProgram` the noise sites
-    baked into the program decide; ``noise_model`` is then ignored.
+    Noisy registers wider than :data:`EXACT_MAX_QUBITS` stay on
+    trajectories: a 12-qubit PTM state is already 128 MB.  For a
+    :class:`~repro.sim.program.CompiledProgram` the noise sites baked
+    into the program decide; ``noise_model`` is then ignored.
     """
     if _is_ideal(circuit, noise_model):
         return "statevector"
-    if circuit.num_qubits <= DENSITY_MAX_QUBITS:
-        return "density"
+    if circuit.num_qubits <= EXACT_MAX_QUBITS:
+        return "ptm"
     return "trajectory"
 
 

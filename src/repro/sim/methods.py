@@ -11,12 +11,16 @@ pins them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
+
+from .density import DensityMatrixEngine
+from .ptm import PTMEngine
 
 __all__ = [
     "MethodSpec",
     "METHOD_SPECS",
     "METHODS",
+    "dense_width_cap",
     "method_names",
     "method_help",
 ]
@@ -39,7 +43,7 @@ METHOD_SPECS: Dict[str, MethodSpec] = {
     for spec in (
         MethodSpec(
             "auto",
-            "pick per circuit: statevector / density / trajectory",
+            "pick per circuit: statevector / ptm / trajectory",
             exact=False,
         ),
         MethodSpec(
@@ -89,3 +93,9 @@ def method_help() -> str:
     return "; ".join(
         f"'{spec.name}' = {spec.summary}" for spec in METHOD_SPECS.values()
     )
+
+
+def dense_width_cap(method: str) -> Optional[int]:
+    """The dense engine's qubit cap for ``method`` (None = uncapped)."""
+    engine = {"density": DensityMatrixEngine, "ptm": PTMEngine}.get(method)
+    return None if engine is None else engine.max_qubits

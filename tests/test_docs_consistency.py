@@ -95,3 +95,19 @@ def test_registry_is_single_source_for_all_surfaces():
     cutting = (ROOT / "docs" / "cutting.md").read_text()
     for needle in ("method=\"cut\"", "REPRO_CUT_MB", "max_fragment_qubits"):
         assert needle in cutting
+
+
+def test_service_method_row_names_every_registered_method():
+    """docs/service.md's `method` field row lists the whole registry."""
+    from repro.sim.methods import METHODS
+
+    service = (ROOT / "docs" / "service.md").read_text()
+    rows = [
+        line for line in service.splitlines()
+        if line.startswith("| `method` |")
+    ]
+    assert len(rows) == 1, "docs/service.md needs one `method` field row"
+    for name in METHODS:
+        assert f"`{name}`" in rows[0], (
+            f"method {name!r} missing from docs/service.md's `method` row"
+        )

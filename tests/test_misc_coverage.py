@@ -15,18 +15,18 @@ from repro.sim import (
     choose_method,
     simulate_counts,
 )
-from repro.sim.engines import DENSITY_MAX_QUBITS
+from repro.sim.engines import EXACT_MAX_QUBITS
 from repro.sim.ops import apply_instruction
 
 
 class TestDispatchBoundary:
     def test_boundary_qubit_count(self):
         noise = NoiseModel.depolarizing(p1q=0.01)
-        at_limit = QuantumCircuit(DENSITY_MAX_QUBITS)
+        at_limit = QuantumCircuit(EXACT_MAX_QUBITS)
         at_limit.h(0)
-        over = QuantumCircuit(DENSITY_MAX_QUBITS + 1)
+        over = QuantumCircuit(EXACT_MAX_QUBITS + 1)
         over.h(0)
-        assert choose_method(at_limit, noise) == "density"
+        assert choose_method(at_limit, noise) == "ptm"
         assert choose_method(over, noise) == "trajectory"
 
     def test_simulate_counts_trajectory_path(self):

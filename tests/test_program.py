@@ -660,11 +660,11 @@ class TestResolvedMethod:
         dist = simulate_distribution(bell())
         assert dist.method == "statevector"
 
-    def test_auto_small_noisy_resolves_to_density(self):
+    def test_auto_small_noisy_resolves_to_ptm(self):
         dist = simulate_distribution(
             bell(), NoiseModel.depolarizing(p1q=0.01)
         )
-        assert dist.method == "density"
+        assert dist.method == "ptm"
 
     def test_auto_records_trajectory_downgrade(self):
         """Large noisy circuits silently ran perturbative before; the
@@ -692,6 +692,6 @@ class TestResolvedMethod:
 
     def test_program_input_dispatch(self):
         noisy = compile_circuit(bell(), NoiseModel.depolarizing(p2q=0.01))
-        assert simulate_distribution(noisy).method == "density"
+        assert simulate_distribution(noisy).method == "ptm"
         ideal = compile_circuit(bell())
         assert simulate_distribution(ideal).method == "statevector"

@@ -12,7 +12,9 @@ noise site to pre-bound superoperators.  These tests pin:
   (amplitude damping), readout and reset ops;
 * the plan cache (one bind per (circuit, noise) pair, hits on reuse);
 * the qubit cap and the engine-selection plumbing (simulate_counts /
-  service request model accept ``method="ptm"``).
+  service request model accept ``method="ptm"``);
+* the ``method="auto"`` route: noisy registers up to the exact cap
+  resolve to PTM and agree with explicit ``method="density"``.
 """
 
 import numpy as np
@@ -28,10 +30,15 @@ from repro.noise.channels import (
     ReadoutError,
     amplitude_damping_error,
     depolarizing_error,
+    thermal_relaxation_error,
 )
 from repro.noise.model import NoiseModel
 from repro.sim.density import DensityMatrixEngine
-from repro.sim.engines import simulate_counts, simulate_distribution
+from repro.sim.engines import (
+    EXACT_MAX_QUBITS,
+    simulate_counts,
+    simulate_distribution,
+)
 from repro.sim.ptm import PTMEngine, ptm_cache_stats, reset_ptm_cache
 
 
@@ -229,3 +236,86 @@ class TestCapsAndPlumbing:
         from repro.experiments.config import SWEEP_METHODS
 
         assert "ptm" in SWEEP_METHODS
+
+
+def _layered(n):
+    """H layer, CX chain and phases: every gate kind the noise hits."""
+    qc = QuantumCircuit(n)
+    for q in range(n):
+        qc.h(q)
+    for q in range(n - 1):
+        qc.cx(q, q + 1)
+    qc.cp(0.7, 0, n - 1)
+    qc.rz(0.4, n - 1)
+    return qc
+
+
+def _sparse(n):
+    """Wide but shallow: keeps the density reference quick at the cap."""
+    qc = QuantumCircuit(n)
+    for q in range(n):
+        qc.h(q)
+    qc.cx(0, n - 1)
+    qc.rz(0.4, n - 1)
+    qc.h(n - 1)
+    return qc
+
+
+def _depolarizing(arity, gates):
+    nm = NoiseModel()
+    nm.add_all_qubit_quantum_error(depolarizing_error(0.03, arity), gates)
+    return nm
+
+
+def _thermal():
+    # Kraus channel; on the 2q gates it hits each qubit independently.
+    nm = NoiseModel()
+    nm.add_all_qubit_quantum_error(
+        thermal_relaxation_error(50e3, 40e3, 300.0), ["h", "cx"]
+    )
+    return nm
+
+
+def _readout():
+    nm = _depolarizing(2, ["cx", "cp"])
+    nm.add_readout_error(ReadoutError(0.03, 0.01))
+    return nm
+
+
+def _random_state(n):
+    rng = np.random.default_rng(11)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return vec / np.linalg.norm(vec)
+
+
+#: case -> (circuit builder, width, noise builder, initial-state builder)
+AUTO_CASES = {
+    "depolarizing-1q": (
+        _layered, 4, lambda: _depolarizing(1, ["h", "rz"]), None,
+    ),
+    "depolarizing-2q": (
+        _layered, 4, lambda: _depolarizing(2, ["cx", "cp"]), None,
+    ),
+    "thermal-kraus": (_layered, 4, _thermal, None),
+    "readout": (_layered, 4, _readout, None),
+    "random-initial-state": (
+        _layered, 4, lambda: _depolarizing(2, ["cx", "cp"]), _random_state,
+    ),
+    "at-cap": (
+        _sparse, EXACT_MAX_QUBITS, lambda: _depolarizing(1, ["rz"]), None,
+    ),
+}
+
+
+class TestAutoRoute:
+    @pytest.mark.parametrize("case", list(AUTO_CASES))
+    def test_auto_matches_density(self, case):
+        circuit, n, noise, state = AUTO_CASES[case]
+        qc, nm = circuit(n), noise()
+        init = state(n) if state is not None else None
+        ref = simulate_distribution(
+            qc, nm, method="density", initial_state=init
+        )
+        got = simulate_distribution(qc, nm, initial_state=init)
+        assert got.method == "ptm"
+        assert tv(ref, got) < parity_atol()

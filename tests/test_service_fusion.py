@@ -41,6 +41,7 @@ from repro.service.executor import (
     _execute_fused_batch,
     _execute_payload,
     _execute_payload_inner,
+    _fused_task_for,
 )
 from repro.service.fusion import FusionSaturated
 
@@ -85,8 +86,31 @@ def test_fusion_eligibility_screen():
     assert not fusion_eligible(
         SimRequest.from_dict(dict(REQ, method="density"))
     )
-    # auto on a small register resolves to density — not fusable.
+    # auto on a small register resolves to PTM — not fusable.
     assert not fusion_eligible(SimRequest.from_dict(dict(REQ, method="auto")))
+
+
+#: ``method="auto"`` noisy requests on each side of the exact cap: add
+#: 3+3 (6 qubits) resolves to PTM; add 6+6 (12 qubits) stays on
+#: fused trajectories.
+AUTO_SMALL = dict(
+    operation="add", n=3, m=3, x=[5], y=[6], shots=128, seed=3,
+    error_axis="2q", error_rate=0.01, method="auto",
+)
+AUTO_WIDE = dict(AUTO_SMALL, n=6, m=6, x=[41], y=[22], trajectories=8)
+
+
+def test_auto_routing_across_the_exact_cap():
+    small = SimRequest.from_dict(dict(AUTO_SMALL))
+    wide = SimRequest.from_dict(dict(AUTO_WIDE))
+    assert not fusion_eligible(small)
+    assert _fused_task_for(small) is None
+    assert fusion_eligible(wide)
+    assert _fused_task_for(wide) is not None
+    results = _execute_fused_batch([dict(AUTO_SMALL), dict(AUTO_WIDE)])
+    assert [r["method"] for r in results["results"]] == [
+        "ptm", "trajectory",
+    ]
 
 
 # ---------------------------------------------------------------------------
