@@ -5,12 +5,15 @@ Runs one tiny sweep fault-free, then re-runs it under injected worker
 crashes, hangs and transient exceptions — with a checkpoint journal —
 and asserts every recovery path lands on the bit-for-bit identical
 result.  A final scenario injects a permanent failure and checks the
-sweep still completes with a structured ``FailedCell`` record.
+sweep still completes with a structured ``FailedCell`` record, and a
+``nan`` fault checks that a non-finite cell fails alone, never retried,
+while the other cells of its work unit survive.
 
 With ``--fabric`` the same discipline is applied to the distributed
 sweep fabric: an in-process fleet of real HTTP workers is subjected to
 coordinator-side kills, partitions, slow workers and a dead fleet, and
-every recovery path must again be bit-identical to the fault-free run.
+every recovery path must again be bit-identical to the fault-free run;
+the non-finite-cell scenario runs there too, across real HTTP workers.
 
 Exit status 0 means all scenarios passed; 1 means at least one failed.
 
@@ -20,6 +23,7 @@ Usage: python scripts/chaos_check.py [--workers N] [--fabric] [--verbose]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import tempfile
 import time
@@ -157,12 +161,58 @@ def scenario_permanent_failure(reference, workers: int) -> None:
             )
 
 
+#: The cell the non-finite scenarios poison with a permanent ``nan``.
+_NAN_CELL = (0.05, 2)
+
+
+def _assert_nan_cell_fails_alone(reference, res, label: str) -> None:
+    """Exactly the poisoned cell failed, as a non-retryable health
+    error on its first attempt; every other cell matches ``reference``."""
+    if len(res.failures) != 1:
+        raise AssertionError(
+            f"{label}: expected exactly one FailedCell, got {res.failures}"
+        )
+    failure = res.failures[0]
+    if (
+        failure.key != _NAN_CELL
+        or failure.error_type != "NumericalHealthError"
+        or failure.attempts != 1
+        or failure.retryable
+    ):
+        raise AssertionError(f"{label}: bad record {failure}")
+    expected = set(reference.points) - {_NAN_CELL}
+    if set(res.points) != expected:
+        raise AssertionError(
+            f"{label}: surviving cells {sorted(res.points, key=str)} "
+            f"!= {sorted(expected, key=str)}"
+        )
+    for key, point in res.points.items():
+        if point.outcomes != reference.points[key].outcomes:
+            raise AssertionError(f"{label}: surviving cell {key} diverged")
+
+
+def scenario_nan_fails_alone(reference, workers: int) -> None:
+    # batching="group" puts fusion-compatible cells (the noisy rates of
+    # one depth) into one work unit, so the poisoned cell shares its
+    # unit with a healthy sibling.
+    config = dataclasses.replace(
+        _config(), batching="group", error_rates=(0.0, 0.02, 0.05)
+    )
+    group_reference = run_sweep(config, workers=1)
+    plan = FaultPlan({_NAN_CELL: FaultSpec("nan", attempts=-1)})
+    res = run_sweep(
+        config, workers=workers, retry=_retry(), fault_plan=plan
+    )
+    _assert_nan_cell_fails_alone(group_reference, res, "non-finite cell")
+
+
 SCENARIOS = (
     ("transient raise retried to success", scenario_transient_raise),
     ("worker crash recovered via pool respawn", scenario_worker_crash),
     ("hang detected by timeout and retried", scenario_hang_timeout),
     ("interrupted run resumed from checkpoint", scenario_checkpoint_resume),
     ("permanent failure yields partial result", scenario_permanent_failure),
+    ("non-finite cell fails alone", scenario_nan_fails_alone),
 )
 
 
@@ -245,6 +295,22 @@ def scenario_fabric_dead_fleet(reference, workers: int) -> None:
     _assert_identical(reference, res, "fabric dead fleet")
 
 
+def scenario_fabric_nan(reference, workers: int) -> None:
+    plan = FaultPlan({_NAN_CELL: FaultSpec("nan", attempts=-1)})
+    messages = []
+    with _fleet(2) as addresses:
+        res = run_sweep(
+            _config(), workers=1, fabric=addresses, fault_plan=plan,
+            retry=_retry(), progress=messages.append,
+        )
+    _assert_nan_cell_fails_alone(reference, res, "fabric non-finite cell")
+    if any("retiring" in m or "locally" in m for m in messages):
+        raise AssertionError(
+            "fabric non-finite cell: a worker was retired or cells fell "
+            "back to local execution"
+        )
+
+
 FABRIC_SCENARIOS = (
     ("clean two-worker fabric run", scenario_fabric_clean),
     ("worker killed mid-sweep, units reassigned", scenario_fabric_kill),
@@ -252,6 +318,7 @@ FABRIC_SCENARIOS = (
      scenario_fabric_partition),
     ("slow worker defeated by lease expiry", scenario_fabric_slow),
     ("dead fleet degrades to local execution", scenario_fabric_dead_fleet),
+    ("non-finite cell fails alone", scenario_fabric_nan),
 )
 
 

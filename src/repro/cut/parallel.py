@@ -33,6 +33,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.qasm import from_qasm, to_qasm
+from ..fabric.registry import parse_workers
+from ..fabric.transport import parse_address
 from ..fabric.wire import WORK_PATH
 from ..noise.model import NoiseModel
 from ..runtime.counters import COUNTERS
@@ -121,14 +123,15 @@ class FabricRunner:
     """Ship jobs to a worker fleet; fall back to local per failed job.
 
     ``fleet`` is a comma-separated ``host:port`` list or the path of a
-    registry file with one address per line (the same format the sweep
-    fabric's coordinator consumes).
+    registry file, parsed by :func:`~repro.fabric.parse_workers` exactly
+    as for the sweep fabric (comments ignored, duplicates collapsed so
+    each worker gets one drain thread).
     """
 
     name = "fabric"
 
     def __init__(self, fleet: str, timeout: float = 60.0) -> None:
-        self.addresses = _parse_fleet(fleet)
+        self.addresses = [parse_address(a) for a in parse_workers(fleet)]
         if not self.addresses:
             raise ValueError(f"no worker addresses in fleet spec {fleet!r}")
         self.timeout = float(timeout)
@@ -194,21 +197,6 @@ class FabricRunner:
             conn.close()
         payload = json.loads(data.decode())
         return result_from_wire(job, payload["result"])
-
-
-def _parse_fleet(fleet: str) -> List[Tuple[str, int]]:
-    """Fleet spec -> address list (registry file or inline list)."""
-    entries: List[str] = []
-    if os.path.exists(fleet):
-        with open(fleet, "r", encoding="utf-8") as fh:
-            entries = [ln.strip() for ln in fh if ln.strip()]
-    else:
-        entries = [part.strip() for part in fleet.split(",") if part.strip()]
-    out: List[Tuple[str, int]] = []
-    for entry in entries:
-        host, _, port = entry.rpartition(":")
-        out.append((host or "127.0.0.1", int(port)))
-    return out
 
 
 def resolve_runner(

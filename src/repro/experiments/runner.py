@@ -30,6 +30,7 @@ from ..metrics.success import (
 )
 from ..noise.model import NoiseModel
 from ..runtime.errors import NumericalHealthError
+from ..runtime.faults import inject
 from ..sim.backend import get_backend
 from ..sim.batch import FusedTrajectoryScheduler, TrajectoryTask
 from ..sim.engines import simulate_counts
@@ -47,6 +48,7 @@ __all__ = [
     "run_point",
     "run_cells_fused",
     "run_unit",
+    "execute_unit",
     "poison_point",
     "check_point_health",
     "PointResult",
@@ -415,10 +417,10 @@ def run_unit(
 ) -> Dict[Tuple[float, Optional[int]], PointResult]:
     """Execute one work unit of cells under the config's batching mode.
 
-    This is the single entry point shared by every execution venue —
-    local supervisor workers, the arithmetic service, and fabric
-    workers — so a unit's results are bit-identical no matter where it
-    runs: ``batching="off"`` uses the legacy per-cell stream of
+    Every execution venue — local supervisor workers and fabric
+    workers — reaches it through :func:`execute_unit`, so a unit's
+    results are bit-identical no matter where it runs:
+    ``batching="off"`` uses the legacy per-cell stream of
     :func:`run_point`, ``"cell"``/``"group"`` the per-instance streams
     of :func:`run_cells_fused` (those two are bit-identical to each
     other; see the sweep docs for the off/fused distinction).
@@ -434,6 +436,30 @@ def run_unit(
             for (rate, depth), program in zip(cells, programs)
         }
     return run_cells_fused(config, instances, cells, programs)
+
+
+def execute_unit(
+    payload, attempt: int
+) -> Dict[Tuple[float, Optional[int]], PointResult]:
+    """The work-unit worker every sweep venue runs, fault-injectable.
+
+    ``payload`` is ``(config, instances, cells, fault_specs, programs)``
+    with one fault spec (or ``None``) per cell and ``programs`` the
+    cells' precompiled programs (``None`` compiles them here).  Module
+    level so it pickles into pool workers; ``attempt`` drives
+    deterministic fault injection.  A crash/hang/raise fault in any
+    member fails the whole unit; a ``nan`` fault poisons only its
+    member's point, which the sweep's health check then rejects.
+    """
+    config, instances, cells, fault_specs, programs = payload
+    poisoned = [
+        key for key, spec in zip(cells, fault_specs)
+        if inject(spec, key, attempt)
+    ]
+    ran = run_unit(config, instances, cells, programs)
+    for key in poisoned:
+        ran[key] = poison_point(ran[key])
+    return ran
 
 
 def poison_point(point: PointResult) -> PointResult:

@@ -1,21 +1,27 @@
 """Grid sweeps over (error rate, depth) with fault-tolerant execution.
 
 A panel sweep is embarrassingly parallel over its cells.  Cells run
-under the :class:`~repro.runtime.supervisor.Supervisor`: each is
-submitted to the process pool individually, transient failures retry
-with exponential backoff, hung cells time out, a broken pool is
-respawned (degrading to in-process serial execution if it keeps
-breaking), and each completed cell is appended to an optional
-checkpoint journal the moment it finishes, so an interrupted sweep
-resumes where it stopped.
+in work units (one cell, or with ``batching="group"`` a group of
+fusion-compatible cells) under the
+:class:`~repro.runtime.supervisor.Supervisor`, which executes every
+unit with :func:`~repro.experiments.runner.execute_unit` — the same
+worker fabric workers run.  Each unit is submitted to the process
+pool individually, transient failures retry with exponential backoff,
+hung units time out, a broken pool is respawned (degrading to
+in-process serial execution if it keeps breaking), and each completed
+cell is appended to an optional checkpoint journal the moment it
+finishes, so an interrupted sweep resumes where it stopped.
 
 Failure is *partial*: a cell that exhausts its retries becomes a
 structured :class:`FailedCell` record on the :class:`SweepResult`
 instead of sinking the whole sweep — the remaining panel still renders
-and serialises.  Determinism is unaffected by any of this: every cell
-seeds its own RNG stream from ``(config.seed, rate, depth)``, so a
-resumed, retried, or serially-degraded sweep is bit-for-bit identical
-to an uninterrupted one.
+and serialises.  Every venue delivers its points through one result
+hook, which also checks numerical health: a non-finite cell fails
+alone, never retried, while the rest of its unit is kept.
+Determinism is unaffected by any of this: every cell seeds its own RNG
+stream from ``(config.seed, rate, depth)``, so a resumed, retried, or
+serially-degraded sweep is bit-for-bit identical to an uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -30,11 +37,10 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..runtime import (
     CheckpointJournal,
     FaultPlan,
+    NumericalHealthError,
     RetryPolicy,
     Supervisor,
     config_fingerprint,
-    inject,
-    partition_weighted,
 )
 from ..runtime import sanitizer
 from .config import SweepConfig
@@ -42,10 +48,8 @@ from .instances import ArithmeticInstance, generate_instances
 from .runner import (
     PointResult,
     build_compiled_program,
-    check_point_health as _check_point_health,
-    poison_point as _poison_point,
-    run_cells_fused,
-    run_point,
+    check_point_health,
+    execute_unit,
 )
 from .serialize import depth_from_json, depth_to_json, point_from_dict, point_to_dict
 
@@ -58,11 +62,6 @@ __all__ = [
 ]
 
 CellKey = Tuple[float, Optional[int]]
-
-#: With ``batching="group"``, at most this many fusion-compatible cells
-#: share one supervisor work unit — bounding per-unit runtime (retry and
-#: timeout granularity) while still amortising kernels across cells.
-GROUP_MAX_CELLS = 8
 
 
 def default_workers() -> int:
@@ -144,71 +143,6 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _execute_cell(payload, attempt: int) -> PointResult:
-    """Supervisor worker: one (rate, depth) cell, fault-injectable.
-
-    Module-level so it pickles into pool workers; ``attempt`` comes from
-    the supervisor and drives deterministic fault injection.  The
-    payload optionally carries the cell's precompiled execution program
-    (compiled once in the parent and shipped with the payload — workers
-    then skip lowering entirely); 5-tuples from older callers still
-    work, compiling worker-side.
-    """
-    config, instances, rate, depth, fault_spec = payload[:5]
-    program = payload[5] if len(payload) > 5 else None
-    poison = inject(fault_spec, (rate, depth), attempt)
-    point = run_point(config, instances, rate, depth, program=program)
-    if poison:
-        point = _poison_point(point)
-    _check_point_health(point)
-    return point
-
-
-def _execute_cell_batched(payload, attempt: int) -> PointResult:
-    """Supervisor worker for ``batching="cell"``: one fused cell.
-
-    Same payload as :func:`_execute_cell`; the cell's instances run
-    through the batched trajectory scheduler instead of one-by-one.
-    """
-    config, instances, rate, depth, fault_spec, program = payload
-    poison = inject(fault_spec, (rate, depth), attempt)
-    point = run_cells_fused(
-        config, instances, [(rate, depth)], [program]
-    )[(rate, depth)]
-    if poison:
-        point = _poison_point(point)
-    _check_point_health(point)
-    return point
-
-
-def _execute_cell_group(payload, attempt: int) -> Dict[CellKey, PointResult]:
-    """Supervisor worker for ``batching="group"``: fused multi-cell unit.
-
-    The payload carries several fusion-compatible cells; the scheduler
-    packs their trajectory rows into shared batches.  Fault injection
-    stays per member cell (a crash/hang fault in any member retries the
-    whole unit; a nan fault poisons only its member's point).
-    """
-    config, instances, keys, fault_specs, programs = payload
-    poisoned = {
-        key
-        for key, spec in zip(keys, fault_specs)
-        if inject(spec, key, attempt)
-    }
-    ran = run_cells_fused(config, instances, keys, programs)
-    out: Dict[CellKey, PointResult] = {}
-    for key in keys:
-        point = ran[key]
-        if key in poisoned:
-            point = _poison_point(point)
-        _check_point_health(point)
-        out[key] = point
-    return out
-
-
-# ----------------------------------------------------------------------
 # Checkpoint plumbing
 # ----------------------------------------------------------------------
 def sweep_fingerprint(
@@ -239,6 +173,23 @@ def _cell_key(jkey: Tuple) -> CellKey:
     return (float(jkey[0]), depth_from_json(jkey[1]))
 
 
+def _failed_cells(cells, failure) -> List[FailedCell]:
+    """One :class:`FailedCell` per member cell of a failed work unit
+    (a supervisor ``CellFailure`` or a fabric ``UnitFailure``)."""
+    return [
+        FailedCell(
+            error_rate=k[0],
+            depth=k[1],
+            error_type=failure.error_type,
+            message=failure.message,
+            traceback=getattr(failure, "traceback", ""),
+            attempts=failure.attempts,
+            retryable=failure.retryable,
+        )
+        for k in cells
+    ]
+
+
 def _cell_fusion_key(config, programs, key) -> tuple:
     """The unit-grouping key of one cell.
 
@@ -260,7 +211,7 @@ def _run_fabric(
     instances,
     fingerprint: str,
     pending: List[CellKey],
-    programs: Dict[CellKey, object],
+    fusion_key_of: Callable[[CellKey], tuple],
     *,
     fabric,
     retry,
@@ -270,16 +221,15 @@ def _run_fabric(
     lease_timeout: float,
     on_result,
     progress,
-    points: Dict[CellKey, PointResult],
     failures: List[FailedCell],
 ) -> List[CellKey]:
     """Dispatch pending cells over the worker fabric.
 
-    Merges completed points into ``points`` (journalling each through
-    ``on_result``) and unit failures into ``failures``; returns the
-    cells still needing local execution — all of them when no worker is
-    reachable (graceful degradation), the unfinished remainder when the
-    fleet was lost mid-run, or ``[]`` on a fully distributed sweep.
+    Delivers completed points through ``on_result`` and merges unit
+    failures into ``failures``; returns the cells still needing local
+    execution — all of them when no worker is reachable (graceful
+    degradation), the unfinished remainder when the fleet was lost
+    mid-run, or ``[]`` on a fully distributed sweep.
     """
     from ..fabric import FabricCoordinator, NoWorkersError, parse_workers
 
@@ -307,27 +257,14 @@ def _run_fabric(
         progress=progress,
     )
     try:
-        fabric_points, unit_failures, leftover = coordinator.run(
-            pending, lambda key: _cell_fusion_key(config, programs, key)
-        )
+        _, unit_failures, leftover = coordinator.run(pending, fusion_key_of)
     except NoWorkersError as exc:
         note(f"[fabric] {exc}; degrading to local execution")
         if journal is not None:
             journal.record_event("downgrade", reason=str(exc))
         return pending
-    points.update(fabric_points)
     for uf in unit_failures:
-        for k in uf.cells:
-            failures.append(
-                FailedCell(
-                    error_rate=k[0],
-                    depth=k[1],
-                    error_type=uf.error_type,
-                    message=uf.message,
-                    attempts=uf.attempts,
-                    retryable=uf.retryable,
-                )
-            )
+        failures.extend(_failed_cells(uf.cells, uf))
     if leftover:
         note(
             f"[fabric] fleet lost mid-run; finishing {len(leftover)} "
@@ -452,17 +389,36 @@ def run_sweep(
     }
 
     state = {"done": done_count}
+    failures: List[FailedCell] = []
 
     def on_result(key: CellKey, point: PointResult, attempts: int) -> None:
+        # The single choke point every venue funnels through — local
+        # units of every batching mode and fabric-coordinated cells all
+        # deliver fresh points here, so numerical health is checked
+        # once, per cell: a non-finite cell fails alone, never retried,
+        # while its unit's siblings are kept.
+        try:
+            check_point_health(point)
+        except NumericalHealthError as exc:
+            failures.append(
+                FailedCell(
+                    error_rate=key[0],
+                    depth=key[1],
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    traceback=traceback.format_exc(),
+                    attempts=attempts,
+                    retryable=False,
+                )
+            )
+            return
+        points[key] = point
         if sanitizer.enabled():
-            # The single choke point every venue funnels through —
-            # local pool, batched/fused units, and fabric-coordinated
-            # cells all deliver fresh points here, so a local and a
-            # fabric run of one sweep produce comparable "point" traces.
-            # Scheduling-geometry metrics (batch occupancy, dedup
-            # ratio, trajectory spend) legitimately vary between
-            # batching layouts, so only the result-determining fields
-            # enter the portable trace.
+            # A local and a fabric run of one sweep produce comparable
+            # "point" traces.  Scheduling-geometry metrics (batch
+            # occupancy, dedup ratio, trajectory spend) legitimately
+            # vary between batching layouts, so only the
+            # result-determining fields enter the portable trace.
             doc = point_to_dict(point)
             for geometry in (
                 "batch_occupancy", "dedup_ratio", "trajectories_spent"
@@ -479,10 +435,12 @@ def run_sweep(
                 f"depth={point.depth_label}: {point.summary}{note}"
             )
 
-    failures: List[FailedCell] = []
+    def fusion_key_of(key: CellKey) -> tuple:
+        return _cell_fusion_key(config, programs, key)
+
     if fabric is not None and pending:
         pending = _run_fabric(
-            config, instances, fingerprint, pending, programs,
+            config, instances, fingerprint, pending, fusion_key_of,
             fabric=fabric,
             retry=fabric_retry,
             journal=journal,
@@ -491,72 +449,49 @@ def run_sweep(
             lease_timeout=lease_timeout,
             on_result=on_result,
             progress=progress,
-            points=points,
             failures=failures,
         )
 
-    cell_failures: List = []
-    if pending and config.batching == "group":
-        # Partition the pending cells into fusion-compatible work units:
-        # cells sharing a circuit skeleton (same fusion key — e.g. the
-        # rates of one depth row) chunk together, bounded in size so the
-        # supervisor's retry/timeout granularity stays per-unit-sane.
-        by_fusion: Dict[tuple, List[CellKey]] = {}
-        for key in pending:
-            by_fusion.setdefault(
-                _cell_fusion_key(config, programs, key), []
-            ).append(key)
-        group_cells = []
-        for keys in by_fusion.values():
-            for chunk in partition_weighted(
-                keys, [1.0] * len(keys), float(GROUP_MAX_CELLS)
-            ):
-                chunk = tuple(chunk)
-                payload = (
-                    config,
-                    instances,
-                    chunk,
-                    tuple(fault_plan.for_cell(k) for k in chunk),
-                    tuple(programs[k] for k in chunk),
+    if pending:
+        # A local unit is one cell (pool parallelism, grid-order
+        # progress) or, with batching="group", the same fusion-compatible
+        # cell groups the fabric dispatches.  The supervisor keys each
+        # unit by its cell tuple, so failures expand to member cells.
+        if config.batching == "group":
+            from ..fabric.units import partition_units
+
+            unit_cells = [
+                unit.cells
+                for unit in partition_units(
+                    pending, fusion_key_of, fingerprint
                 )
-                group_cells.append((("group",) + chunk, payload))
-
-        def on_group(gkey, ran_points, attempts: int) -> None:
-            for key, point in ran_points.items():
-                on_result(key, point, attempts)
-
-        supervisor = Supervisor(
-            _execute_cell_group, workers=workers, retry=retry,
-            on_result=on_group,
-        )
-        ran, cell_failures = supervisor.run(group_cells)
-        for ran_points in ran.values():
-            points.update(ran_points)
-    elif pending:
-        worker_fn = (
-            _execute_cell_batched
-            if config.batching == "cell"
-            else _execute_cell
-        )
-        cells = [
+            ]
+        else:
+            unit_cells = [(key,) for key in pending]
+        units = [
             (
-                key,
+                cells,
                 (
                     config,
                     instances,
-                    key[0],
-                    key[1],
-                    fault_plan.for_cell(key),
-                    programs[key],
+                    cells,
+                    tuple(fault_plan.for_cell(k) for k in cells),
+                    tuple(programs[k] for k in cells),
                 ),
             )
-            for key in pending
+            for cells in unit_cells
         ]
+
+        def on_unit(cells, ran, attempts: int) -> None:
+            for key in cells:
+                on_result(key, ran[key], attempts)
+
         supervisor = Supervisor(
-            worker_fn, workers=workers, retry=retry, on_result=on_result
+            execute_unit, workers=workers, retry=retry, on_result=on_unit
         )
-        ran, cell_failures = supervisor.run(cells)
-        points.update(ran)
+        _, unit_failures = supervisor.run(units)
+        for uf in unit_failures:
+            failures.extend(_failed_cells(uf.key, uf))
     # Restored and pooled cells arrive in completion order; re-key into
     # grid order so serialized output is deterministic across runs.
     points = {
@@ -566,25 +501,6 @@ def run_sweep(
         if (rate, depth) in points
     }
 
-    for cf in cell_failures:
-        # A failed group unit expands into one record per member cell.
-        members = (
-            cf.key[1:]
-            if isinstance(cf.key, tuple) and cf.key[:1] == ("group",)
-            else [cf.key]
-        )
-        for k in members:
-            failures.append(
-                FailedCell(
-                    error_rate=k[0],
-                    depth=k[1],
-                    error_type=cf.error_type,
-                    message=cf.message,
-                    traceback=cf.traceback,
-                    attempts=cf.attempts,
-                    retryable=cf.retryable,
-                )
-            )
     if progress:
         for f in failures:
             progress(f"[FAILED] {f}")

@@ -47,7 +47,7 @@ from ..runtime.faults import FabricFaultPlan, FaultPlan
 from ..runtime.supervisor import RetryPolicy
 from .lease import COMPLETED, FAILED, LEASED, PENDING, UnitLease
 from .transport import TransportError, WorkerTransport
-from .units import DEFAULT_UNIT_MAX_CELLS, WorkUnit, partition_units
+from .units import WorkUnit, partition_units
 from .wire import build_work_request, cell_from_wire, cell_to_wire
 
 __all__ = ["FabricCoordinator", "FabricReport", "NoWorkersError", "UnitFailure"]
@@ -143,8 +143,6 @@ class FabricCoordinator:
         cell_fault_plan: Optional[FaultPlan] = None,
         lease_timeout: float = 60.0,
         probe_timeout: float = 3.0,
-        steal: bool = True,
-        max_cells_per_unit: int = DEFAULT_UNIT_MAX_CELLS,
         on_result: Optional[Callable[[CellKey, Any, int], None]] = None,
         progress: Optional[Callable[[str], None]] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -161,8 +159,6 @@ class FabricCoordinator:
         self.cell_fault_plan = cell_fault_plan or FaultPlan()
         self.lease_timeout = float(lease_timeout)
         self.probe_timeout = float(probe_timeout)
-        self.steal = steal
-        self.max_cells_per_unit = max_cells_per_unit
         self.on_result = on_result
         self.progress = progress
         self.clock = clock
@@ -206,10 +202,7 @@ class FabricCoordinator:
         fusion_key_of: Callable[[CellKey], Any],
     ) -> Tuple[Dict[CellKey, Any], List[UnitFailure], List[CellKey]]:
         await self._probe_fleet()
-        units = partition_units(
-            pending, fusion_key_of, self.fingerprint,
-            max_cells=self.max_cells_per_unit,
-        )
+        units = partition_units(pending, fusion_key_of, self.fingerprint)
         self._units = {u.unit_id: u for u in units}
         self._leases = {u.unit_id: UnitLease(u.unit_id) for u in units}
         self.report.units_total = len(units)
@@ -267,8 +260,6 @@ class FabricCoordinator:
             if lease.state == PENDING and lease.not_before <= now:
                 lease.acquire(worker.address, now, self.lease_timeout)
                 return self._units[unit_id], False
-        if not self.steal:
-            return None
         # Queue drained: steal the longest-in-flight straggler.
         best: Optional[str] = None
         best_deadline = float("inf")

@@ -54,18 +54,16 @@ def parse_workers(spec: Union[str, Path, Sequence[str]]) -> List[str]:
 
     Accepts a registry file path, a comma-separated address string, or
     an iterable of addresses — whatever the CLI or an embedding caller
-    has on hand.
+    has on hand.  Every form is validated and deduplicated in
+    first-seen order, as a registry file is.
     """
     if isinstance(spec, Path):
         return WorkerRegistry(spec).load()
     if isinstance(spec, str):
-        if "," in spec or (":" in spec and not Path(spec).exists()):
-            addresses = [a.strip() for a in spec.split(",") if a.strip()]
-            for a in addresses:
-                parse_address(a)
-            return addresses
-        return WorkerRegistry(spec).load()
+        if not ("," in spec or (":" in spec and not Path(spec).exists())):
+            return WorkerRegistry(spec).load()
+        spec = spec.split(",")
     addresses = [str(a).strip() for a in spec if str(a).strip()]
     for a in addresses:
         parse_address(a)
-    return addresses
+    return list(dict.fromkeys(addresses))

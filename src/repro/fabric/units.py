@@ -5,9 +5,8 @@ fusion-compatible sweep cells that one worker executes in a single
 ``/v1/work`` call.  Units reuse the batched scheduler's grouping rule
 (cells sharing a :attr:`CompiledProgram.fusion_key` stay co-located, so
 the worker's fused trajectory batches and kernel caches amortise across
-the whole unit) and the supervisor's :func:`partition_weighted` chunker
-to bound per-unit runtime — the lease timeout and retry granularity
-stay sane because no unit can grow unboundedly heavy.
+the whole unit), chunked to a bounded cell count so the lease timeout
+and retry granularity stay sane: no unit can grow unboundedly heavy.
 
 Unit identifiers are *deterministic*: derived from the sweep
 fingerprint and the member cell keys, so a restarted coordinator
@@ -21,14 +20,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..runtime.checkpoint import config_fingerprint
-from ..runtime.supervisor import partition_weighted
 
 __all__ = ["WorkUnit", "partition_units", "DEFAULT_UNIT_MAX_CELLS"]
 
 CellKey = Tuple[float, Optional[int]]
 
-#: Cells per unit ceiling — matches the local group-batching bound so a
-#: fabric unit is exactly one local supervisor work group.
+#: Cells per unit ceiling, shared by fabric units and local
+#: ``batching="group"`` units — bounding per-unit runtime (retry,
+#: timeout and lease granularity) while still amortising kernels.
 DEFAULT_UNIT_MAX_CELLS = 8
 
 
@@ -63,26 +62,21 @@ def partition_units(
     fusion_key_of: Callable[[CellKey], Any],
     fingerprint: str,
     max_cells: int = DEFAULT_UNIT_MAX_CELLS,
-    weight_of: Optional[Callable[[CellKey], float]] = None,
 ) -> List[WorkUnit]:
-    """Partition pending cells into weighted, fusion-co-located units.
+    """Partition pending cells into fusion-co-located units.
 
     Cells are first bucketed by their fusion key (grid order preserved
-    inside a bucket — :func:`partition_weighted` relies on it), then
-    greedily chunked under the ``max_cells`` weight ceiling.  With the
-    default unit weight of 1.0 per cell this matches the local
-    ``batching="group"`` partitioning exactly, so a sweep dispatched
-    over the fabric runs the very same cell groups a single host would.
+    inside a bucket), then chunked in order into at most ``max_cells``
+    cells each.  The local ``batching="group"`` sweep partitions with
+    this same function, so a sweep dispatched over the fabric runs the
+    very same cell groups a single host would.
     """
-    weight_of = weight_of or (lambda _key: 1.0)
     by_fusion: dict = {}
     for key in keys:
         by_fusion.setdefault(fusion_key_of(key), []).append(key)
     units: List[WorkUnit] = []
     for bucket in by_fusion.values():
-        for chunk in partition_weighted(
-            bucket, [weight_of(k) for k in bucket], float(max_cells)
-        ):
-            cells = tuple(chunk)
+        for start in range(0, len(bucket), max_cells):
+            cells = tuple(bucket[start:start + max_cells])
             units.append(WorkUnit(unit_id_for(fingerprint, cells), cells))
     return units

@@ -35,7 +35,6 @@ from .supervisor import (
     CellFailure,
     RetryPolicy,
     Supervisor,
-    partition_weighted,
     run_supervised,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "run_supervised",
-    "partition_weighted",
     "env_flag",
     "env_float",
     "env_mb_bytes",

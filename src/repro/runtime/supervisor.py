@@ -45,44 +45,7 @@ __all__ = [
     "CellFailure",
     "Supervisor",
     "run_supervised",
-    "partition_weighted",
 ]
-
-
-def partition_weighted(
-    items: Sequence[Any],
-    weights: Sequence[float],
-    max_weight: float,
-) -> List[List[Any]]:
-    """Greedy in-order chunking of ``items`` under a weight ceiling.
-
-    Consecutive items accumulate into one chunk until adding the next
-    would push the chunk past ``max_weight``; an item heavier than the
-    ceiling still gets a chunk of its own (work must not be dropped).
-    Order is preserved — the batched sweep relies on this so a fused
-    work group is a contiguous slice of the cell grid.
-    """
-    if len(items) != len(weights):
-        raise ValueError(
-            f"items ({len(items)}) and weights ({len(weights)}) "
-            f"must have equal length"
-        )
-    if max_weight <= 0:
-        raise ValueError(f"max_weight must be > 0, got {max_weight}")
-    chunks: List[List[Any]] = []
-    current: List[Any] = []
-    load = 0.0
-    for item, w in zip(items, weights):
-        if w < 0:
-            raise ValueError(f"negative weight {w} for item {item!r}")
-        if current and load + w > max_weight:
-            chunks.append(current)
-            current, load = [], 0.0
-        current.append(item)
-        load += w
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 @dataclass(frozen=True)

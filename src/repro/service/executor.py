@@ -23,7 +23,7 @@ from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -394,44 +394,9 @@ class SimulationExecutor:
 
     async def run(self, request: SimRequest) -> Dict[str, Any]:
         """Execute ``request`` with retries; returns the result payload."""
-        payload = request.to_dict()
-        loop = asyncio.get_running_loop()
-        last_error = "unknown"
-        for attempt in range(1, self.retry.max_attempts + 1):
-            try:
-                future = loop.run_in_executor(
-                    self._pool, _execute_payload, payload
-                )
-                if self.retry.timeout is not None:
-                    result = await asyncio.wait_for(
-                        future, self.retry.timeout
-                    )
-                else:
-                    result = await future
-                # Worker-side sanitizer events ride home on the result
-                # (that is how they cross the process boundary); fold
-                # them into the parent trace and keep the response
-                # payload tier-independent.
-                events = result.pop("sanitizer_events", None)
-                if events:
-                    sanitizer.merge_events(events)
-                return result
-            except (RequestValidationError, ValueError):
-                # Deterministic input errors cannot succeed on retry.
-                raise
-            except BrokenProcessPool as exc:
-                last_error = f"BrokenProcessPool: {exc}"
-                self._respawn()
-            except asyncio.TimeoutError:
-                last_error = (
-                    f"timeout after {self.retry.timeout}s "
-                    f"(attempt {attempt})"
-                )
-            except Exception as exc:  # noqa: BLE001 — ladder mirrors Supervisor
-                last_error = f"{type(exc).__name__}: {exc}"
-            if attempt < self.retry.max_attempts:
-                await asyncio.sleep(self.retry.backoff(attempt))
-        raise ExecutionFailed(self.retry.max_attempts, last_error)
+        return await self._run_with_retries(
+            _execute_payload, request.to_dict()
+        )
 
     async def run_batch(
         self, requests: List[SimRequest]
@@ -443,23 +408,36 @@ class SimulationExecutor:
         scheduler pass is shared), so the whole batch retries together;
         determinism makes the replay bit-identical per request.
         """
-        payloads = [request.to_dict() for request in requests]
+        doc = await self._run_with_retries(
+            _execute_fused_batch, [request.to_dict() for request in requests]
+        )
+        return list(doc["results"])
+
+    async def _run_with_retries(
+        self, fn: Callable[[Any], Dict[str, Any]], payload: Any
+    ) -> Dict[str, Any]:
+        """Run ``fn(payload)`` on the pool under the retry ladder.
+
+        Worker-side sanitizer events ride home on the returned document
+        (that is how they cross the process boundary); they are popped
+        and folded into the parent trace, keeping the response payload
+        tier-independent.
+        """
         loop = asyncio.get_running_loop()
         last_error = "unknown"
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
-                future = loop.run_in_executor(
-                    self._pool, _execute_fused_batch, payloads
-                )
+                future = loop.run_in_executor(self._pool, fn, payload)
                 if self.retry.timeout is not None:
                     doc = await asyncio.wait_for(future, self.retry.timeout)
                 else:
                     doc = await future
-                events = doc.get("sanitizer_events")
+                events = doc.pop("sanitizer_events", None)
                 if events:
                     sanitizer.merge_events(events)
-                return list(doc["results"])
+                return doc
             except (RequestValidationError, ValueError):
+                # Deterministic input errors cannot succeed on retry.
                 raise
             except BrokenProcessPool as exc:
                 last_error = f"BrokenProcessPool: {exc}"

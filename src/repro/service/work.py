@@ -2,18 +2,21 @@
 
 Any ``repro-serve`` process can be a fabric worker: this handler turns a
 :func:`~repro.fabric.wire.parse_work_request` payload into results by
-running the unit through :func:`~repro.experiments.runner.run_unit` —
-the exact code path local sweep workers use, so a unit computes
+running the unit through :func:`~repro.experiments.runner.execute_unit`
+— the very worker the local sweep supervisor runs, so a unit computes
 bit-identical points no matter which venue executes it.
 
 Error contract (what the coordinator's recovery ladder keys on):
 
+* ``200`` — the unit ran; every member's point is returned, including
+  a non-finite one (an injected ``nan`` fault).  Numerical health is
+  judged by the sweep that receives the points, exactly as for a local
+  unit, so such a cell fails alone and is never retried.
 * ``400`` — malformed or fingerprint-skewed payload.  Deterministic:
   the coordinator fails the unit instead of retrying.
-* ``500`` — execution failed (injected cell faults, numerical-health
-  rejections).  Transient from the fabric's point of view: the
-  coordinator requeues under its retry policy, matching the local
-  supervisor's classification of the same errors.
+* ``500`` — execution raised (e.g. an injected ``raise`` fault).
+  Transient from the fabric's point of view: the coordinator requeues
+  under its retry policy.
 * ``503`` — the worker is draining; the unit is requeued elsewhere.
 
 Units execute on a thread off the event loop (bounded by
@@ -30,13 +33,13 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cut.parallel import FRAGMENT_KINDS
-from ..experiments.runner import check_point_health, poison_point, run_unit
+from ..experiments.runner import execute_unit
 from ..experiments.serialize import point_to_dict
 from ..fabric.wire import WireError, cell_to_wire, parse_work_request
-from ..runtime.faults import CRASH_EXIT_CODE, inject
+from ..runtime.faults import CRASH_EXIT_CODE
 
 __all__ = ["WorkHandler"]
 
@@ -100,21 +103,11 @@ class WorkHandler:
                 flush=True,
             )
             os._exit(CRASH_EXIT_CODE)
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.max_inflight)
-        async with self._sem:
-            try:
-                points = await asyncio.get_running_loop().run_in_executor(
-                    None, self._execute, request
-                )
-            except Exception as exc:  # noqa: BLE001 — surfaced as retryable 500
-                self.units_failed += 1
-                return 500, {}, _json(
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "unit_id": request["unit_id"],
-                    }
-                )
+        status, points = await self._run_bounded(
+            self._execute, request, {"unit_id": request["unit_id"]}
+        )
+        if status != 200:
+            return status, {}, _json(points)
         self.units_completed += 1
         self.cells_completed += len(points)
         return 200, {}, _json(
@@ -138,45 +131,60 @@ class WorkHandler:
         from ..cut.parallel import execute_wire_job
 
         self.units_received += 1
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.max_inflight)
-        async with self._sem:
-            try:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    None, execute_wire_job, payload
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                self.units_rejected += 1
-                return 400, {}, _json(
-                    {"error": f"bad fragment payload: {exc}"}
-                )
-            except Exception as exc:  # noqa: BLE001 — surfaced as retryable 500
-                self.units_failed += 1
-                return 500, {}, _json(
-                    {"error": f"{type(exc).__name__}: {exc}"}
-                )
+        status, result = await self._run_bounded(
+            execute_wire_job, payload, {},
+            bad_input=(KeyError, TypeError, ValueError),
+        )
+        if status != 200:
+            return status, {}, _json(result)
         self.units_completed += 1
         return 200, {}, _json(
             {"kind": payload["kind"], "result": result}
         )
 
+    async def _run_bounded(
+        self,
+        fn: Callable[[Any], Any],
+        arg: Any,
+        error_fields: Dict[str, Any],
+        bad_input: Tuple[type, ...] = (),
+    ) -> Tuple[int, Any]:
+        """Run ``fn(arg)`` on a thread, at most ``max_inflight`` at once.
+
+        Returns ``(200, result)``, ``(400, error doc)`` for an exception
+        in ``bad_input`` (a deterministic rejection), or ``(500, error
+        doc)`` for any other exception (retryable by the caller).
+        """
+        if self._sem is None:
+            self._sem = asyncio.Semaphore(self.max_inflight)
+        async with self._sem:
+            try:
+                return 200, await asyncio.get_running_loop().run_in_executor(
+                    None, fn, arg
+                )
+            except bad_input as exc:
+                self.units_rejected += 1
+                return 400, {"error": f"bad fragment payload: {exc}"}
+            except Exception as exc:  # noqa: BLE001 — surfaced as retryable 500
+                self.units_failed += 1
+                return 500, {
+                    "error": f"{type(exc).__name__}: {exc}", **error_fields
+                }
+
     def _execute(self, request: Dict[str, Any]) -> List[List[Any]]:
         """Run the unit's cells (worker thread; blocking)."""
-        attempt = request["attempt"]
-        poisoned = {
-            key
-            for key, spec in zip(request["cells"], request["faults"])
-            if inject(spec, key, attempt)
-        }
-        ran = run_unit(request["config"], request["instances"], request["cells"])
-        out: List[List[Any]] = []
-        for key in request["cells"]:
-            point = ran[key]
-            if key in poisoned:
-                point = poison_point(point)
-            check_point_health(point)
-            out.append([cell_to_wire(key), point_to_dict(point)])
-        return out
+        cells = request["cells"]
+        ran = execute_unit(
+            (
+                request["config"],
+                request["instances"],
+                cells,
+                request["faults"],
+                None,
+            ),
+            request["attempt"],
+        )
+        return [[cell_to_wire(key), point_to_dict(ran[key])] for key in cells]
 
 
 def _json(obj: Any) -> bytes:

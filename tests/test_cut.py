@@ -38,6 +38,7 @@ from repro.cut import (
 )
 from repro.cut.fragments import build_variant_jobs
 from repro.cut.parallel import (
+    FabricRunner,
     SerialRunner,
     job_from_wire,
     job_to_wire,
@@ -317,6 +318,23 @@ def test_resolve_runner_precedence():
     assert resolve_runner(0, "", None).name == "serial"
     assert resolve_runner(4, "", None).name == "pool"
     assert resolve_runner(4, "127.0.0.1:1", None).name == "fabric"
+
+
+def test_fabric_runner_reads_registry_with_comments_and_duplicates(tmp_path):
+    registry = tmp_path / "fleet.txt"
+    registry.write_text(
+        "# fleet for the cut workers\n"
+        "127.0.0.1:9001\n"
+        "127.0.0.1:9002  # second worker\n"
+        "127.0.0.1:9001\n"
+    )
+    # One drain thread per distinct worker.
+    assert FabricRunner(str(registry)).addresses == [
+        ("127.0.0.1", 9001), ("127.0.0.1", 9002),
+    ]
+    assert FabricRunner("127.0.0.1:1,127.0.0.1:1").addresses == [
+        ("127.0.0.1", 1),
+    ]
 
 
 def test_cut_stats_counters():

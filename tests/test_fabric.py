@@ -12,6 +12,7 @@ zeroed, the one wall-clock field).
 import asyncio
 import http.client
 import json
+import math
 
 import pytest
 
@@ -276,12 +277,34 @@ class TestWorkEndpoint:
         fp = sweep_fingerprint(config, instances)
         body = build_work_request(
             fp, "u-x", 1, config, instances, [(0.05, 2)],
-            [FaultSpec("nan", attempts=-1)],
+            [FaultSpec("raise", attempts=-1)],
         )
         with ServerThread() as srv:
             status, doc = _post_work(srv, body)
         assert status == 500
-        assert "NumericalHealthError" in doc["error"]
+        assert "InjectedFault" in doc["error"]
+
+    def test_nan_member_answers_200_with_non_finite_point(self):
+        # Numerical health is judged by the receiving sweep, not the
+        # worker: the unit succeeds and ships the poisoned point home.
+        config = _config()
+        instances = _instances(config)
+        fp = sweep_fingerprint(config, instances)
+        cells = [(0.05, 2), (0.0, 2)]
+        body = build_work_request(
+            fp, "u-x", 1, config, instances, cells,
+            [FaultSpec("nan", attempts=-1), None],
+        )
+        with ServerThread() as srv:
+            status, doc = _post_work(srv, body)
+        assert status == 200
+        from repro.experiments.serialize import point_from_dict
+
+        got = {
+            cell_from_wire(c): point_from_dict(p) for c, p in doc["points"]
+        }
+        assert math.isnan(got[(0.05, 2)].summary.sigma)
+        assert math.isfinite(got[(0.0, 2)].summary.sigma)
 
     def test_draining_is_503(self):
         config = _config()
@@ -324,6 +347,35 @@ class TestFabricSweep:
             )
         assert res.complete
         assert _dump(res) == _dump(reference)
+
+    @pytest.mark.parametrize("batching", ["off", "cell", "group"])
+    def test_nan_cell_fails_alone(self, batching):
+        # The three rates of one depth share a fabric unit; the poisoned
+        # member fails alone as a non-retryable health error, and the
+        # worker that returned it is not retired.
+        config = _config(
+            error_rates=(0.001, 0.002, 0.003), depths=(2,), batching=batching
+        )
+        plan = FaultPlan({(0.002, 2): FaultSpec("nan", attempts=-1)})
+        notes = []
+        with ServerThread() as srv:
+            # Compared against a clean run over the same fleet: batch
+            # geometry fields follow the unit layout, which differs from
+            # a local batching="cell" run.
+            clean = run_sweep(config, workers=1, fabric=[_addr(srv)])
+            res = run_sweep(
+                config, workers=1, fabric=[_addr(srv)], fault_plan=plan,
+                progress=notes.append,
+            )
+        (f,) = res.failures
+        assert f.key == (0.002, 2)
+        assert f.error_type == "NumericalHealthError"
+        assert f.attempts == 1
+        assert f.retryable is False
+        assert set(res.points) == {(0.001, 2), (0.003, 2)}
+        for key, point in res.points.items():
+            assert point == clean.points[key]
+        assert not any("retiring" in n or "locally" in n for n in notes)
 
     def test_worker_kill_reassigns_and_stays_identical(self, reference):
         with ServerThread() as s1, ServerThread() as s2:
@@ -486,6 +538,24 @@ class TestCoordinator:
         )
         with pytest.raises(NoWorkersError, match="0/1"):
             coord.run([(0.0, 2)], lambda _k: "f")
+
+    def test_nan_member_does_not_retire_worker(self):
+        config = _config(error_rates=(0.001, 0.002, 0.003), depths=(2,))
+        instances = _instances(config)
+        fp = sweep_fingerprint(config, instances)
+        plan = FaultPlan({(0.002, 2): FaultSpec("nan", attempts=-1)})
+        with ServerThread() as s1:
+            coord = FabricCoordinator(
+                config, instances, [_addr(s1)], fp, cell_fault_plan=plan
+            )
+            points, failures, leftover = coord.run(
+                [(0.001, 2), (0.002, 2), (0.003, 2)],
+                _fusion_of(config, instances),
+            )
+        assert not failures and not leftover
+        assert math.isnan(points[(0.002, 2)].summary.sigma)
+        assert coord.report.workers_retired == []
+        assert coord.report.units_failed == 0
 
     def test_report_counts(self, reference):
         config = _config()

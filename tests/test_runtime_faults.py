@@ -114,18 +114,30 @@ class TestInjectedRecovery:
         for key, pr in res.points.items():
             assert pr.outcomes == baseline.points[key].outcomes
 
-    def test_nan_fault_is_non_retryable_health_error(self):
-        plan = FaultPlan({(0.0, 2): FaultSpec("nan", attempts=-1)})
+    @pytest.mark.parametrize("batching", ["off", "cell", "group"])
+    def test_nan_fault_is_non_retryable_health_error(self, batching):
+        # One depth row of three noisy rates: with batching="group" the
+        # three cells share one work unit, and only the poisoned member
+        # may fail.
+        cfg = _cfg(
+            error_rates=(0.01, 0.02, 0.05), depths=(2,), batching=batching
+        )
+        clean = run_sweep(cfg, workers=1)
+        plan = FaultPlan({(0.02, 2): FaultSpec("nan", attempts=-1)})
         res = run_sweep(
-            _cfg(),
+            cfg,
             workers=1,
             retry=_fast_retry(max_attempts=5),
             fault_plan=plan,
         )
         (f,) = res.failures
+        assert f.key == (0.02, 2)
         assert f.error_type == "NumericalHealthError"
         assert f.attempts == 1  # never retried
         assert not f.retryable
+        assert set(res.points) == {(0.01, 2), (0.05, 2)}
+        for key, point in res.points.items():
+            assert point == clean.points[key]
 
     def test_failed_sweep_renders_and_serialises(self):
         plan = FaultPlan({(0.05, 2): FaultSpec("raise", attempts=-1)})
