@@ -45,6 +45,9 @@ def _config():
         operation="add", n=3, m=3, orders=(1, 1), error_axis="2q",
         error_rates=(0.0, 0.02, 0.05), depths=(2, None), instances=2,
         shots=64, trajectories=4, seed=1234,
+        # The default tier, named so the fleet must decode a non-empty
+        # value of this field to pass the worker's fingerprint check.
+        backend="numpy64",
     )
 
 

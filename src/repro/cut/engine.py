@@ -25,7 +25,7 @@ from ..sim.density import _apply_readout_to_distribution
 from ..sim.result import Counts, Distribution
 from .config import CutConfig
 from .fragments import CutError, ValueJob, build_variant_jobs, decompose_initial_state
-from .parallel import resolve_runner
+from .parallel import SerialRunner
 from .reconstruct import (
     assemble_register_terms,
     contract_wire_plan,
@@ -64,7 +64,7 @@ def cut_distribution(
         rng = np.random.default_rng(seed if seed is not None else 1234567)
     plan = find_cuts(circuit, config)
     check_plan(plan, config)
-    use_runner = resolve_runner(config.workers, config.fabric, runner)
+    use_runner = runner if runner is not None else SerialRunner()
     base_seed = int(rng.integers(2**62))
     if plan.kind == "registers":
         probs, variants = _run_register_plan(

@@ -45,7 +45,6 @@ __all__ = [
     "SerialRunner",
     "PoolRunner",
     "FabricRunner",
-    "resolve_runner",
     "job_to_wire",
     "job_from_wire",
     "execute_wire_job",
@@ -197,19 +196,6 @@ class FabricRunner:
             conn.close()
         payload = json.loads(data.decode())
         return result_from_wire(job, payload["result"])
-
-
-def resolve_runner(
-    workers: int = 0, fabric: str = "", runner: Optional[Any] = None
-) -> Any:
-    """The runner a cut evaluation should use for its jobs."""
-    if runner is not None:
-        return runner
-    if fabric:
-        return FabricRunner(fabric)
-    if workers > 0:
-        return PoolRunner(workers)
-    return SerialRunner()
 
 
 # ---------------------------------------------------------------------------

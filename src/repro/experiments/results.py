@@ -4,9 +4,13 @@ The JSON schema is flat and stable so stored runs (EXPERIMENTS.md's
 source data under ``results/``) can be re-rendered without re-simulating.
 Schema 2 adds the ``failures`` list (partial-result semantics — see
 ``docs/reliability.md``); schema-1 files load unchanged with an empty
-failure list.  Loaders raise descriptive :class:`ValueError`\\ s on
-unknown schema versions, truncated/corrupt JSON, and missing fields
-rather than leaking ``KeyError`` from deep inside the decoder.
+failure list.  The config and instance shapes are the shared codecs of
+:mod:`repro.experiments.serialize`, so a file records every
+:class:`~repro.experiments.config.SweepConfig` field, and a key an
+older file lacks takes the field's default.  Loaders raise descriptive
+:class:`ValueError`\\ s on unknown schema versions, truncated/corrupt
+JSON, and missing fields rather than leaking ``KeyError`` from deep
+inside the decoder.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from .config import SweepConfig
 from .runner import PointResult
 from .serialize import (
-    depth_from_json,
-    depth_to_json,
+    config_from_dict,
+    config_to_dict,
     failed_cell_from_dict,
     failed_cell_to_dict,
+    instances_from_json,
+    instances_to_json,
     point_from_dict,
     point_to_dict,
 )
@@ -44,39 +49,11 @@ _SUPPORTED_SCHEMAS = (1, 2)
 
 def sweep_to_dict(result: SweepResult) -> dict:
     """A JSON-ready representation of a sweep result."""
-    cfg = result.config
     return {
         "schema": _SCHEMA_VERSION,
-        "config": {
-            "operation": cfg.operation,
-            "n": cfg.n,
-            "m": cfg.m,
-            "orders": list(cfg.orders),
-            "error_axis": cfg.error_axis,
-            "error_rates": list(cfg.error_rates),
-            "depths": [depth_to_json(d) for d in cfg.depths],
-            "instances": cfg.instances,
-            "shots": cfg.shots,
-            "trajectories": cfg.trajectories,
-            "seed": cfg.seed,
-            "method": cfg.method,
-            "convention": cfg.convention,
-            "label": cfg.label,
-            "batching": cfg.batching,
-            "dedup": cfg.dedup,
-            "adaptive": cfg.adaptive,
-            "adaptive_rounds": cfg.adaptive_rounds,
-            "adaptive_delta": cfg.adaptive_delta,
-            "batch_rows": cfg.batch_rows,
-        },
+        "config": config_to_dict(result.config),
         "elapsed_seconds": result.elapsed_seconds,
-        "instances": [
-            {
-                "x": list(inst.x.values),
-                "y": list(inst.y.values),
-            }
-            for inst in result.instances
-        ],
+        "instances": instances_to_json(result.instances),
         "points": [point_to_dict(pr) for pr in result.points.values()],
         "failures": [failed_cell_to_dict(f) for f in result.failures],
     }
@@ -95,44 +72,8 @@ def sweep_from_dict(data: dict) -> SweepResult:
             f"schemas {list(_SUPPORTED_SCHEMAS)}"
         )
     try:
-        c = data["config"]
-        config = SweepConfig(
-            operation=c["operation"],
-            n=c["n"],
-            m=c["m"],
-            orders=tuple(c["orders"]),
-            error_axis=c["error_axis"],
-            error_rates=tuple(c["error_rates"]),
-            depths=tuple(depth_from_json(d) for d in c["depths"]),
-            instances=c["instances"],
-            shots=c["shots"],
-            trajectories=c["trajectories"],
-            seed=c["seed"],
-            method=c["method"],
-            convention=c["convention"],
-            label=c.get("label", ""),
-            # Scheduler knobs postdate schema 2's introduction; absent
-            # keys mean the legacy (non-batched) execution path.
-            batching=c.get("batching", "off"),
-            dedup=bool(c.get("dedup", True)),
-            adaptive=bool(c.get("adaptive", False)),
-            adaptive_rounds=int(c.get("adaptive_rounds", 4)),
-            adaptive_delta=float(c.get("adaptive_delta", 0.0)),
-            batch_rows=int(c.get("batch_rows", 0)),
-        )
-        from ..core.qint import QInteger
-        from .instances import ArithmeticInstance
-
-        instances = [
-            ArithmeticInstance(
-                config.operation,
-                config.n,
-                config.m,
-                QInteger.uniform(i["x"], config.n),
-                QInteger.uniform(i["y"], config.m),
-            )
-            for i in data["instances"]
-        ]
+        config = config_from_dict(data["config"])
+        instances = instances_from_json(config, data["instances"])
         points: Dict[Tuple[float, Optional[int]], PointResult] = {}
         for p in data["points"]:
             pr = point_from_dict(p)

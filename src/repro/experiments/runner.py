@@ -473,10 +473,11 @@ def poison_point(point: PointResult) -> PointResult:
 def check_point_health(point: PointResult) -> None:
     """Reject non-finite aggregates before they enter a result set."""
     s = point.summary
+    depth = "full" if point.depth is None else point.depth
     for name in ("sigma", "mean_min_diff"):
         v = float(getattr(s, name))
         if not math.isfinite(v):
             raise NumericalHealthError(
-                f"cell (rate={point.error_rate}, depth={point.depth_label}) "
+                f"cell (rate={point.error_rate}, depth={depth}) "
                 f"produced non-finite {name}={v!r}"
             )

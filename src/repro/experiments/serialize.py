@@ -1,11 +1,16 @@
-"""Cell-level (de)serialisation shared by results files and checkpoints.
+"""The sweep's JSON shapes, shared by every boundary sweep data crosses.
 
-Both the sweep-result JSON (:mod:`repro.experiments.results`) and the
-runtime checkpoint journal (:mod:`repro.runtime.checkpoint`) persist
-individual :class:`~repro.experiments.runner.PointResult` cells and
-:class:`~repro.experiments.sweep.FailedCell` records; keeping the
-dict <-> dataclass mapping in one place guarantees a checkpointed cell
-is bit-for-bit the cell a full save would have written.
+The sweep-result JSON (:mod:`repro.experiments.results`), the runtime
+checkpoint journal (:mod:`repro.runtime.checkpoint`) and the fabric's
+``POST /v1/work`` payload (:mod:`repro.fabric.wire`) all encode the
+:class:`~repro.experiments.config.SweepConfig`, operand instances,
+``(rate, depth)`` cell keys, :class:`~repro.experiments.runner.PointResult`
+cells and :class:`~repro.experiments.sweep.FailedCell` records with the
+codecs below, so a config means the same thing on every side and a
+checkpointed cell is bit-for-bit the cell a full save would have
+written.  The config codec walks ``dataclasses.fields(SweepConfig)``:
+a new field crosses every boundary without a codec edit, and a key an
+older file lacks takes the field's default.
 
 The ``"full"`` string is the JSON sentinel for ``depth=None`` (the
 un-truncated QFT) throughout.
@@ -13,14 +18,24 @@ un-truncated QFT) throughout.
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.qint import QInteger
 from ..metrics.success import InstanceOutcome, SuccessSummary
+from .config import SweepConfig
+from .instances import ArithmeticInstance
 from .runner import PointResult
 
 __all__ = [
     "depth_to_json",
     "depth_from_json",
+    "config_to_dict",
+    "config_from_dict",
+    "instances_to_json",
+    "instances_from_json",
+    "cell_to_json",
+    "cell_from_json",
     "point_to_dict",
     "point_from_dict",
     "failed_cell_to_dict",
@@ -36,6 +51,63 @@ def depth_to_json(depth: Optional[int]):
 def depth_from_json(v) -> Optional[int]:
     """Inverse of :func:`depth_to_json`."""
     return None if v == "full" else int(v)
+
+
+def config_to_dict(config: SweepConfig) -> Dict[str, Any]:
+    """JSON-ready dict of every :class:`SweepConfig` field, in field order."""
+    d = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    d["orders"] = list(config.orders)
+    d["error_rates"] = list(config.error_rates)
+    d["depths"] = [depth_to_json(x) for x in config.depths]
+    return d
+
+
+def config_from_dict(d: Dict[str, Any]) -> SweepConfig:
+    """Inverse of :func:`config_to_dict`; absent keys take the default.
+
+    Unknown keys are ignored.  A missing required field raises
+    ``KeyError`` or ``TypeError``, a bad value ``ValueError``.
+    """
+    kwargs = {
+        f.name: d[f.name] for f in dataclasses.fields(SweepConfig) if f.name in d
+    }
+    kwargs["orders"] = tuple(d["orders"])
+    kwargs["error_rates"] = tuple(d["error_rates"])
+    kwargs["depths"] = tuple(depth_from_json(x) for x in d["depths"])
+    return SweepConfig(**kwargs)
+
+
+def instances_to_json(instances: Sequence) -> List[Dict[str, List[int]]]:
+    """Operand value lists, one ``{"x": [...], "y": [...]}`` per instance."""
+    return [
+        {"x": [int(v) for v in inst.x.values],
+         "y": [int(v) for v in inst.y.values]}
+        for inst in instances
+    ]
+
+
+def instances_from_json(config: SweepConfig, data: Sequence[dict]) -> List:
+    """Rebuild the instance list (uniform-amplitude operands)."""
+    return [
+        ArithmeticInstance(
+            config.operation,
+            config.n,
+            config.m,
+            QInteger.uniform(list(i["x"]), config.n),
+            QInteger.uniform(list(i["y"]), config.m),
+        )
+        for i in data
+    ]
+
+
+def cell_to_json(key: Tuple[float, Optional[int]]) -> List[Any]:
+    """A ``(rate, depth)`` cell key as ``[rate, depth or "full"]``."""
+    return [key[0], depth_to_json(key[1])]
+
+
+def cell_from_json(v: Sequence[Any]) -> Tuple[float, Optional[int]]:
+    """Inverse of :func:`cell_to_json`."""
+    return (float(v[0]), depth_from_json(v[1]))
 
 
 def point_to_dict(pr: PointResult) -> dict:

@@ -51,7 +51,7 @@ from .runner import (
     check_point_health,
     execute_unit,
 )
-from .serialize import depth_from_json, depth_to_json, point_from_dict, point_to_dict
+from .serialize import cell_to_json, point_from_dict, point_to_dict
 
 __all__ = [
     "SweepResult",
@@ -165,14 +165,6 @@ def sweep_fingerprint(
     )
 
 
-def _journal_key(key: CellKey) -> Tuple:
-    return (key[0], depth_to_json(key[1]))
-
-
-def _cell_key(jkey: Tuple) -> CellKey:
-    return (float(jkey[0]), depth_from_json(jkey[1]))
-
-
 def _failed_cells(cells, failure) -> List[FailedCell]:
     """One :class:`FailedCell` per member cell of a failed work unit
     (a supervisor ``CellFailure`` or a fabric ``UnitFailure``)."""
@@ -257,7 +249,7 @@ def _run_fabric(
         progress=progress,
     )
     try:
-        _, unit_failures, leftover = coordinator.run(pending, fusion_key_of)
+        unit_failures, leftover = coordinator.run(pending, fusion_key_of)
     except NoWorkersError as exc:
         note(f"[fabric] {exc}; degrading to local execution")
         if journal is not None:
@@ -357,7 +349,7 @@ def run_sweep(
         if resume:
             restored = journal.load()
             for key in all_keys:
-                cell = restored.get(_journal_key(key))
+                cell = restored.get(tuple(cell_to_json(key)))
                 if cell is not None:
                     points[key] = point_from_dict(cell)
         else:
@@ -426,7 +418,7 @@ def run_sweep(
                 doc.pop(geometry, None)
             sanitizer.record("point", doc, key=repr(key))
         if journal is not None:
-            journal.record(_journal_key(key), point_to_dict(point))
+            journal.record(cell_to_json(key), point_to_dict(point))
         state["done"] += 1
         if progress:
             note = f" (attempt {attempts})" if attempts > 1 else ""

@@ -7,7 +7,9 @@ recovery model and ``docs/distributed.md`` for topology, the lease
 lifecycle, and the failure matrix.
 
 Layering: ``lease`` (unit state machine) and ``units`` (partitioning)
-are pure logic; ``wire`` defines the protocol payloads; ``transport``
+are pure logic; ``wire`` defines the work-request envelope around the
+sweep's own JSON shapes (config, instances and cell keys use the
+:mod:`repro.experiments.serialize` codecs); ``transport``
 is the asyncio HTTP client with deterministic fault injection;
 ``registry`` handles fleet discovery; ``coordinator`` composes them;
 ``worker`` is the ``repro-fabric-worker`` console entry point.

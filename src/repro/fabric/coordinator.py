@@ -38,17 +38,19 @@ bit-identical to a single-host run.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..experiments.serialize import cell_from_json, cell_to_json, point_from_dict
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FabricFaultPlan, FaultPlan
 from ..runtime.supervisor import RetryPolicy
 from .lease import COMPLETED, FAILED, LEASED, PENDING, UnitLease
 from .transport import TransportError, WorkerTransport
 from .units import WorkUnit, partition_units
-from .wire import build_work_request, cell_from_wire, cell_to_wire
+from .wire import build_work_request
 
 __all__ = ["FabricCoordinator", "FabricReport", "NoWorkersError", "UnitFailure"]
 
@@ -96,20 +98,7 @@ class FabricReport:
     restored_cells: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workers_probed": self.workers_probed,
-            "workers_healthy": self.workers_healthy,
-            "workers_retired": list(self.workers_retired),
-            "units_total": self.units_total,
-            "units_completed": self.units_completed,
-            "units_failed": self.units_failed,
-            "dispatches": self.dispatches,
-            "reassignments": self.reassignments,
-            "steals": self.steals,
-            "stale_results": self.stale_results,
-            "lease_expiries": self.lease_expiries,
-            "restored_cells": self.restored_cells,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -174,7 +163,6 @@ class FabricCoordinator:
         ]
         self._units: Dict[str, WorkUnit] = {}
         self._leases: Dict[str, UnitLease] = {}
-        self._points: Dict[CellKey, Any] = {}
         self._failures: List[UnitFailure] = []
         self.report = FabricReport(workers_probed=len(self._workers))
 
@@ -183,13 +171,14 @@ class FabricCoordinator:
         self,
         pending: Sequence[CellKey],
         fusion_key_of: Callable[[CellKey], Any],
-    ) -> Tuple[Dict[CellKey, Any], List[UnitFailure], List[CellKey]]:
+    ) -> Tuple[List[UnitFailure], List[CellKey]]:
         """Execute the pending cells; blocks until done or fleet loss.
 
-        Returns ``(points, failures, leftover)``: decoded
-        :class:`~repro.experiments.runner.PointResult`\\ s by cell key,
-        units that exhausted their retries, and cells left unfinished
-        because every worker died (the caller runs those locally).
+        Each decoded :class:`~repro.experiments.runner.PointResult` is
+        delivered through ``on_result`` as its unit completes.  Returns
+        ``(failures, leftover)``: units that exhausted their retries,
+        and cells left unfinished because every worker died (the caller
+        runs those locally).
         Raises :class:`NoWorkersError` when the initial probe finds no
         live worker at all.
         """
@@ -200,7 +189,7 @@ class FabricCoordinator:
         self,
         pending: Sequence[CellKey],
         fusion_key_of: Callable[[CellKey], Any],
-    ) -> Tuple[Dict[CellKey, Any], List[UnitFailure], List[CellKey]]:
+    ) -> Tuple[List[UnitFailure], List[CellKey]]:
         await self._probe_fleet()
         units = partition_units(pending, fusion_key_of, self.fingerprint)
         self._units = {u.unit_id: u for u in units}
@@ -231,7 +220,7 @@ class FabricCoordinator:
             if not lease.done
             for key in self._units[unit_id].cells
         ]
-        return self._points, self._failures, leftover
+        return self._failures, leftover
 
     async def _probe_fleet(self) -> None:
         outcomes = await asyncio.gather(
@@ -318,7 +307,7 @@ class FabricCoordinator:
             worker=worker.address,
             attempt=attempt,
             steal=stolen,
-            cells=[cell_to_wire(k) for k in unit.cells],
+            cells=[cell_to_json(k) for k in unit.cells],
         )
         body = build_work_request(
             self.fingerprint,
@@ -434,22 +423,19 @@ class FabricCoordinator:
         if not won:
             self.report.stale_results += 1
             return
-        from ..experiments.serialize import point_from_dict
-
         worker.units_completed += 1
         self.report.units_completed += 1
-        for cell_wire, point_dict in doc["points"]:
-            key = cell_from_wire(cell_wire)
-            point = point_from_dict(point_dict)
-            self._points[key] = point
-            if self.on_result is not None:
-                self.on_result(key, point, lease.attempt)
+        if self.on_result is not None:
+            for cell, point in doc["points"]:
+                self.on_result(
+                    cell_from_json(cell), point_from_dict(point), lease.attempt
+                )
         self._event(
             "ack",
             unit=unit.unit_id,
             worker=worker.address,
             attempt=lease.attempt,
-            cells=[cell_to_wire(k) for k in unit.cells],
+            cells=[cell_to_json(k) for k in unit.cells],
         )
 
     # -- watchdog ----------------------------------------------------------

@@ -4,7 +4,11 @@ One ``POST /v1/work`` request carries everything a stateless worker
 needs to execute a unit bit-identically to the local path: the full
 :class:`~repro.experiments.config.SweepConfig`, the operand instance
 set, the member cell keys, the unit's attempt number, and (for chaos
-runs) the per-cell fault specs.  Workers never see the journal and hold
+runs) the per-cell fault specs.  The config, instances and cell keys
+travel in the shapes of :mod:`repro.experiments.serialize` — the same
+codecs the results file and the checkpoint journal use — so this module
+owns only the work-request envelope, the fault specs and the
+fingerprint check.  Workers never see the journal and hold
 no sweep state between units — any worker can run any unit at any time,
 which is what makes reassignment and work stealing safe.
 
@@ -21,22 +25,22 @@ the protocol single-round-trip.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..experiments.config import SweepConfig
-from ..experiments.serialize import depth_from_json, depth_to_json
+from ..experiments.serialize import (
+    cell_from_json,
+    cell_to_json,
+    config_from_dict,
+    config_to_dict,
+    instances_from_json,
+    instances_to_json,
+)
 from ..runtime.faults import FaultSpec
 
 __all__ = [
     "WORK_PATH",
     "WireError",
-    "config_to_wire",
-    "config_from_wire",
-    "instances_to_wire",
-    "instances_from_wire",
-    "cell_to_wire",
-    "cell_from_wire",
     "build_work_request",
     "parse_work_request",
 ]
@@ -52,90 +56,8 @@ class WireError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Config
+# Faults
 # ----------------------------------------------------------------------
-def config_to_wire(config: SweepConfig) -> Dict[str, Any]:
-    """JSON-able dict of a sweep config (depths via the 'full' sentinel)."""
-    d = dataclasses.asdict(config)
-    d["orders"] = list(config.orders)
-    d["error_rates"] = list(config.error_rates)
-    d["depths"] = [depth_to_json(x) for x in config.depths]
-    return d
-
-
-def config_from_wire(d: Dict[str, Any]) -> SweepConfig:
-    """Inverse of :func:`config_to_wire`."""
-    try:
-        return SweepConfig(
-            operation=d["operation"],
-            n=int(d["n"]),
-            m=int(d["m"]),
-            orders=tuple(d["orders"]),
-            error_axis=d["error_axis"],
-            error_rates=tuple(float(r) for r in d["error_rates"]),
-            depths=tuple(depth_from_json(x) for x in d["depths"]),
-            instances=int(d["instances"]),
-            shots=int(d["shots"]),
-            trajectories=int(d["trajectories"]),
-            seed=int(d["seed"]),
-            method=d["method"],
-            convention=d["convention"],
-            label=d.get("label", ""),
-            batching=d.get("batching", "off"),
-            dedup=bool(d.get("dedup", True)),
-            adaptive=bool(d.get("adaptive", False)),
-            adaptive_rounds=int(d.get("adaptive_rounds", 4)),
-            adaptive_delta=float(d.get("adaptive_delta", 0.0)),
-            batch_rows=int(d.get("batch_rows", 0)),
-            max_fragment_qubits=int(d.get("max_fragment_qubits", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"bad sweep config payload: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Instances
-# ----------------------------------------------------------------------
-def instances_to_wire(instances: Sequence) -> List[Dict[str, List[int]]]:
-    """Operand value lists, matching the sweep-results JSON shape."""
-    return [
-        {"x": [int(v) for v in inst.x.values],
-         "y": [int(v) for v in inst.y.values]}
-        for inst in instances
-    ]
-
-
-def instances_from_wire(config: SweepConfig, data: Sequence[dict]) -> List:
-    """Rebuild the instance list (uniform-amplitude operands)."""
-    from ..core.qint import QInteger
-    from ..experiments.instances import ArithmeticInstance
-
-    try:
-        return [
-            ArithmeticInstance(
-                config.operation,
-                config.n,
-                config.m,
-                QInteger.uniform(list(i["x"]), config.n),
-                QInteger.uniform(list(i["y"]), config.m),
-            )
-            for i in data
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"bad instance payload: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Cells and faults
-# ----------------------------------------------------------------------
-def cell_to_wire(key: CellKey) -> List[Any]:
-    return [key[0], depth_to_json(key[1])]
-
-
-def cell_from_wire(v: Sequence[Any]) -> CellKey:
-    return (float(v[0]), depth_from_json(v[1]))
-
-
 def _fault_to_wire(spec: Optional[FaultSpec]) -> Optional[Dict[str, Any]]:
     if spec is None:
         return None
@@ -176,9 +98,9 @@ def build_work_request(
         "fingerprint": fingerprint,
         "unit_id": unit_id,
         "attempt": int(attempt),
-        "config": config_to_wire(config),
-        "instances": instances_to_wire(instances),
-        "cells": [cell_to_wire(k) for k in cells],
+        "config": config_to_dict(config),
+        "instances": instances_to_json(instances),
+        "cells": [cell_to_json(k) for k in cells],
         "faults": [
             _fault_to_wire(s)
             for s in (fault_specs or [None] * len(cells))
@@ -207,9 +129,12 @@ def parse_work_request(payload: Any) -> Dict[str, Any]:
     ]
     if missing:
         raise WireError(f"work request missing fields: {missing}")
-    config = config_from_wire(payload["config"])
-    instances = instances_from_wire(config, payload["instances"])
-    cells = [cell_from_wire(c) for c in payload["cells"]]
+    try:
+        config = config_from_dict(payload["config"])
+        instances = instances_from_json(config, payload["instances"])
+        cells = [cell_from_json(c) for c in payload["cells"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise WireError(f"bad sweep unit payload: {exc}") from exc
     if not cells:
         raise WireError("work request carries no cells")
     faults_raw = payload.get("faults") or [None] * len(cells)

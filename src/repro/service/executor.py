@@ -173,6 +173,22 @@ def _execute_payload_inner(request: SimRequest) -> Dict[str, Any]:
         dedup=env_flag("REPRO_SERVICE_DEDUP", False),
     )
     t_sim = time.perf_counter()
+    return _response(
+        request, instance, counts, counts.method or method, fingerprint,
+        (t_compile - t0) * 1000.0, (t_sim - t_compile) * 1000.0,
+    )
+
+
+def _response(
+    request: SimRequest,
+    instance: Any,
+    counts: Any,
+    method: str,
+    fingerprint: str,
+    compile_ms: float,
+    simulate_ms: float,
+) -> Dict[str, Any]:
+    """The result-determining response payload of one request."""
     outcome = evaluate_instance(counts, instance.correct_outcomes())
     correct = sum(counts.get(o) for o in instance.correct_outcomes())
     return {
@@ -180,16 +196,13 @@ def _execute_payload_inner(request: SimRequest) -> Dict[str, Any]:
         "counts": {int(k): int(v) for k, v in counts.items()},
         "num_qubits": counts.num_qubits,
         "shots": request.shots,
-        "method": counts.method or method,
+        "method": method,
         "program_fingerprint": fingerprint,
         "seed": request.seed,
         "success": bool(outcome.success),
         "min_diff": int(outcome.min_diff),
         "success_probability": correct / max(1, counts.shots),
-        "timings_ms": {
-            "compile": (t_compile - t0) * 1000.0,
-            "simulate": (t_sim - t_compile) * 1000.0,
-        },
+        "timings_ms": {"compile": compile_ms, "simulate": simulate_ms},
     }
 
 
@@ -318,30 +331,13 @@ def _execute_fused_batch_inner(
                     },
                     key=request.content_key(),
                 )
-            instance = request.instance()
-            outcome = evaluate_instance(counts, instance.correct_outcomes())
-            correct = sum(
-                counts.get(o) for o in instance.correct_outcomes()
+            # Batch-level costs: compile covers task construction for
+            # the whole group, simulate the shared scheduler pass
+            # (identical for every member by construction).
+            results[i] = _response(
+                request, request.instance(), counts, counts.method,
+                task.program.fingerprint, compile_ms, simulate_ms,
             )
-            results[i] = {
-                "content_key": request.content_key(),
-                "counts": {int(k): int(v) for k, v in counts.items()},
-                "num_qubits": counts.num_qubits,
-                "shots": request.shots,
-                "method": counts.method,
-                "program_fingerprint": task.program.fingerprint,
-                "seed": request.seed,
-                "success": bool(outcome.success),
-                "min_diff": int(outcome.min_diff),
-                "success_probability": correct / max(1, counts.shots),
-                # Batch-level costs: compile covers task construction
-                # for the whole group, simulate the shared scheduler
-                # pass (identical for every member by construction).
-                "timings_ms": {
-                    "compile": compile_ms,
-                    "simulate": simulate_ms,
-                },
-            }
     return [r for r in results if r is not None]
 
 

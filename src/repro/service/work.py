@@ -37,8 +37,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cut.parallel import FRAGMENT_KINDS
 from ..experiments.runner import execute_unit
-from ..experiments.serialize import point_to_dict
-from ..fabric.wire import WireError, cell_to_wire, parse_work_request
+from ..experiments.serialize import cell_to_json, point_to_dict
+from ..fabric.wire import WireError, parse_work_request
 from ..runtime.faults import CRASH_EXIT_CODE
 
 __all__ = ["WorkHandler"]
@@ -184,7 +184,7 @@ class WorkHandler:
             ),
             request["attempt"],
         )
-        return [[cell_to_wire(key), point_to_dict(ran[key])] for key in cells]
+        return [[cell_to_json(key), point_to_dict(ran[key])] for key in cells]
 
 
 def _json(obj: Any) -> bytes:

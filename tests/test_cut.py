@@ -42,7 +42,6 @@ from repro.cut.parallel import (
     SerialRunner,
     job_from_wire,
     job_to_wire,
-    resolve_runner,
 )
 from repro.experiments.config import SweepConfig
 from repro.experiments.instances import ArithmeticInstance
@@ -310,14 +309,6 @@ def test_fragment_job_wire_roundtrip_bit_identical():
         trajectories=64, seed=9, runner=WireRunner(),
     )
     np.testing.assert_array_equal(direct.probs, shipped.probs)
-
-
-def test_resolve_runner_precedence():
-    explicit = SerialRunner()
-    assert resolve_runner(4, "", explicit) is explicit
-    assert resolve_runner(0, "", None).name == "serial"
-    assert resolve_runner(4, "", None).name == "pool"
-    assert resolve_runner(4, "127.0.0.1:1", None).name == "fabric"
 
 
 def test_fabric_runner_reads_registry_with_comments_and_duplicates(tmp_path):

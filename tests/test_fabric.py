@@ -10,6 +10,7 @@ zeroed, the one wall-clock field).
 """
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import math
@@ -17,9 +18,17 @@ import math
 import pytest
 
 from repro.experiments.config import SweepConfig
-from repro.experiments.results import sweep_to_dict
+from repro.experiments.results import sweep_from_dict, sweep_to_dict
 from repro.experiments.runner import build_compiled_program, run_unit
-from repro.experiments.sweep import run_sweep, sweep_fingerprint
+from repro.experiments.serialize import (
+    cell_from_json,
+    cell_to_json,
+    config_from_dict,
+    config_to_dict,
+    instances_from_json,
+    instances_to_json,
+)
+from repro.experiments.sweep import SweepResult, run_sweep, sweep_fingerprint
 from repro.fabric import (
     FabricCoordinator,
     NoWorkersError,
@@ -31,15 +40,7 @@ from repro.fabric import (
 )
 from repro.fabric.transport import request_json
 from repro.fabric.units import unit_id_for
-from repro.fabric.wire import (
-    WireError,
-    cell_from_wire,
-    cell_to_wire,
-    config_from_wire,
-    config_to_wire,
-    instances_from_wire,
-    instances_to_wire,
-)
+from repro.fabric.wire import WireError
 from repro.runtime import (
     CheckpointJournal,
     FabricFaultPlan,
@@ -91,6 +92,28 @@ def _fusion_of(config, instances):
     return lambda key: programs[key].fusion_key
 
 
+#: A value for every SweepConfig field that differs from ``_config()``'s.
+_NON_DEFAULT = dict(
+    operation="mul", n=2, m=2, orders=(2, 1), error_axis="1q",
+    error_rates=(0.0, 0.01), depths=(None, 2), instances=3, shots=17,
+    trajectories=5, seed=99, method="density", convention="pauli",
+    label="every-field", backend="numpy32", batching="group", dedup=False,
+    adaptive=True, adaptive_rounds=3, adaptive_delta=0.25, batch_rows=8,
+    max_fragment_qubits=6,
+)
+
+
+def _every_field_config() -> SweepConfig:
+    """A config whose every field is set away from its default."""
+    base = _config()
+    kwargs = {}
+    for f in dataclasses.fields(SweepConfig):
+        assert f.name in _NON_DEFAULT, f"no non-default value for {f.name}"
+        assert _NON_DEFAULT[f.name] != getattr(base, f.name), f.name
+        kwargs[f.name] = _NON_DEFAULT[f.name]
+    return SweepConfig(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def reference():
     """One clean local run every parity test compares against."""
@@ -103,20 +126,36 @@ def reference():
 class TestWire:
     def test_config_round_trip(self):
         config = _config(batching="group", adaptive=True)
-        assert config_from_wire(config_to_wire(config)) == config
+        assert config_from_dict(config_to_dict(config)) == config
 
     def test_instances_round_trip(self):
         config = _config()
         instances = _instances(config)
-        rebuilt = instances_from_wire(
-            config, instances_to_wire(instances)
+        rebuilt = instances_from_json(
+            config, instances_to_json(instances)
         )
-        assert instances_to_wire(rebuilt) == instances_to_wire(instances)
+        assert instances_to_json(rebuilt) == instances_to_json(instances)
 
     def test_cell_round_trip_full_depth_sentinel(self):
         for key in [(0.05, 2), (0.0, None)]:
-            assert cell_from_wire(cell_to_wire(key)) == key
-        assert cell_to_wire((0.0, None))[1] == "full"
+            assert cell_from_json(cell_to_json(key)) == key
+        assert cell_to_json((0.0, None))[1] == "full"
+
+    def test_every_config_field_survives_the_results_file(self):
+        config = _every_field_config()
+        result = SweepResult(config, {}, _instances(config))
+        doc = json.loads(json.dumps(sweep_to_dict(result)))
+        assert sweep_from_dict(doc).config == config
+
+    def test_every_config_field_survives_the_wire(self):
+        config = _every_field_config()
+        instances = _instances(config)
+        body = build_work_request(
+            sweep_fingerprint(config, instances), "u-all", 1, config,
+            instances, [(0.01, 2)],
+        )
+        parsed = parse_work_request(json.loads(json.dumps(body)))
+        assert parsed["config"] == config
 
     def test_request_round_trip_with_faults(self):
         config = _config()
@@ -147,6 +186,11 @@ class TestWire:
             parse_work_request({"unit_id": "u-abc"})
         with pytest.raises(WireError, match="JSON object"):
             parse_work_request([1, 2, 3])
+        with pytest.raises(WireError, match="bad sweep unit payload"):
+            parse_work_request({
+                "fingerprint": "f", "unit_id": "u", "attempt": 1,
+                "config": {"n": 3}, "instances": [], "cells": [[0.0, 2]],
+            })
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +297,7 @@ class TestWorkEndpoint:
 
         local = run_unit(config, instances, cells)
         got = {
-            cell_from_wire(c): point_from_dict(p) for c, p in doc["points"]
+            cell_from_json(c): point_from_dict(p) for c, p in doc["points"]
         }
         assert set(got) == set(cells)
         for key in cells:
@@ -301,7 +345,7 @@ class TestWorkEndpoint:
         from repro.experiments.serialize import point_from_dict
 
         got = {
-            cell_from_wire(c): point_from_dict(p) for c, p in doc["points"]
+            cell_from_json(c): point_from_dict(p) for c, p in doc["points"]
         }
         assert math.isnan(got[(0.05, 2)].summary.sigma)
         assert math.isfinite(got[(0.0, 2)].summary.sigma)
@@ -376,6 +420,16 @@ class TestFabricSweep:
         for key, point in res.points.items():
             assert point == clean.points[key]
         assert not any("retiring" in n or "locally" in n for n in notes)
+
+    def test_every_config_field_reaches_workers(self):
+        # A worker that drops a config field derives another
+        # fingerprint and rejects every unit as WorkRejected.
+        config = _config(backend="numpy32")
+        local = run_sweep(config, workers=1)
+        with ServerThread() as srv:
+            res = run_sweep(config, workers=1, fabric=[_addr(srv)])
+        assert not res.failures
+        assert _dump(res) == _dump(local)
 
     def test_worker_kill_reassigns_and_stays_identical(self, reference):
         with ServerThread() as s1, ServerThread() as s2:
@@ -499,11 +553,10 @@ class TestJournalIntegration:
         # Pre-journal half the cells from the clean reference run — as
         # if a previous coordinator died after two acks.
         from repro.experiments.serialize import point_to_dict
-        from repro.experiments.sweep import _journal_key
 
         done = list(reference.points)[:2]
         for key in done:
-            journal.record(_journal_key(key), point_to_dict(reference.points[key]))
+            journal.record(cell_to_json(key), point_to_dict(reference.points[key]))
         with ServerThread() as s1:
             res = run_sweep(
                 config, workers=1, fabric=[_addr(s1)],
@@ -520,7 +573,7 @@ class TestJournalIntegration:
         }
         for cells in leased:
             for cell in cells:
-                assert cell_from_wire(list(cell)) not in done
+                assert cell_from_json(list(cell)) not in done
 
 
 # ----------------------------------------------------------------------
@@ -544,11 +597,13 @@ class TestCoordinator:
         instances = _instances(config)
         fp = sweep_fingerprint(config, instances)
         plan = FaultPlan({(0.002, 2): FaultSpec("nan", attempts=-1)})
+        points = {}
         with ServerThread() as s1:
             coord = FabricCoordinator(
-                config, instances, [_addr(s1)], fp, cell_fault_plan=plan
+                config, instances, [_addr(s1)], fp, cell_fault_plan=plan,
+                on_result=lambda key, point, _a: points.update({key: point}),
             )
-            points, failures, leftover = coord.run(
+            failures, leftover = coord.run(
                 [(0.001, 2), (0.002, 2), (0.003, 2)],
                 _fusion_of(config, instances),
             )
@@ -561,12 +616,14 @@ class TestCoordinator:
         config = _config()
         instances = _instances(config)
         fp = sweep_fingerprint(config, instances)
+        points = {}
         with ServerThread() as s1:
             coord = FabricCoordinator(
                 config, instances, [_addr(s1)], fp,
+                on_result=lambda key, point, _a: points.update({key: point}),
             )
             pending = list(reference.points)
-            points, failures, leftover = coord.run(
+            failures, leftover = coord.run(
                 pending, _fusion_of(config, instances)
             )
         assert not failures and not leftover

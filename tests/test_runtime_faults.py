@@ -135,6 +135,9 @@ class TestInjectedRecovery:
         assert f.error_type == "NumericalHealthError"
         assert f.attempts == 1  # never retried
         assert not f.retryable
+        # One depth name throughout: the raw AQFT depth, not its label.
+        assert "cell (rate=0.02, depth=2)" in f.message
+        assert str(f).startswith("rate=0.0200 depth=2: ")
         assert set(res.points) == {(0.01, 2), (0.05, 2)}
         for key, point in res.points.items():
             assert point == clean.points[key]
